@@ -107,6 +107,12 @@ class _Block:
         self.state = state
         self.data = data
 
+    def __deepcopy__(self, memo):
+        twin = _Block.__new__(_Block)
+        twin.state = self.state
+        twin.data = self.data
+        return twin
+
 
 class _Txn:
     """In-flight request bookkeeping (one per blocked core, at most)."""
@@ -129,6 +135,22 @@ class _Txn:
         self.excl = False
         self.txn_id = txn_id
 
+    def __deepcopy__(self, memo):
+        # every field is an int, bool, str, None or a tuple of those
+        twin = _Txn.__new__(_Txn)
+        twin.kind = self.kind
+        twin.crit = self.crit
+        twin.from_state = self.from_state
+        twin.store_value = self.store_value
+        twin.rmw = self.rmw
+        twin.waiting_data = self.waiting_data
+        twin.acks_needed = self.acks_needed
+        twin.acks_got = self.acks_got
+        twin.data = self.data
+        twin.excl = self.excl
+        twin.txn_id = self.txn_id
+        return twin
+
 
 class CacheController:
     """Per-node L1/L2 cache with the MOESI cache-side transition table.
@@ -150,6 +172,23 @@ class CacheController:
         self.crit_forwards = crit_forwards
         self.trace = trace
         self._txn_serial = 0
+        self._block_bytes = l2_geom.block_bytes
+
+    def __deepcopy__(self, memo):
+        """Structural copy for the model checker; `trace` is shared."""
+        twin = CacheController.__new__(CacheController)
+        twin.node = self.node
+        twin.n_nodes = self.n_nodes
+        twin.l1 = self.l1.__deepcopy__(memo)
+        twin.l2 = self.l2.__deepcopy__(memo)
+        twin.blocks = {a: b.__deepcopy__(memo) for a, b in self.blocks.items()}
+        twin.wb = {a: b.__deepcopy__(memo) for a, b in self.wb.items()}
+        twin.txns = {a: t.__deepcopy__(memo) for a, t in self.txns.items()}
+        twin.crit_forwards = self.crit_forwards
+        twin.trace = self.trace
+        twin._txn_serial = self._txn_serial
+        twin._block_bytes = self._block_bytes
+        return twin
 
     # -- helpers -------------------------------------------------------------
 
@@ -173,7 +212,7 @@ class CacheController:
                        addr, **kw)
 
     def _home(self, addr):
-        return home_node(addr, self.n_nodes)
+        return home_node(addr, self.n_nodes, self._block_bytes)
 
     # -- core-side operations --------------------------------------------------
 
@@ -508,6 +547,16 @@ class _DirEntry:
         self.busy = None       # (requester, final_state, final_owner, final_sharers)
         self.pending = deque()
 
+    def __deepcopy__(self, memo):
+        twin = _DirEntry.__new__(_DirEntry)
+        twin.state = self.state
+        twin.owner = self.owner
+        twin.sharers = set(self.sharers)
+        busy = self.busy
+        twin.busy = busy if busy is None else busy[:3] + (set(busy[3]),)
+        twin.pending = deque(m.__deepcopy__(memo) for m in self.pending)
+        return twin
+
 
 class DirectoryController:
     """Home-node directory slice with a blocking per-block transaction queue."""
@@ -523,6 +572,20 @@ class DirectoryController:
         # hop counts from this node, when a topology is attached; used to
         # equalize invalidation round trips (see _on_getx)
         self.distances = distances
+
+    def __deepcopy__(self, memo):
+        """Structural copy for the model checker; `trace` is shared."""
+        twin = DirectoryController.__new__(DirectoryController)
+        twin.node = self.node
+        twin.n_nodes = self.n_nodes
+        twin.memory = dict(self.memory)
+        twin.entries = {a: e.__deepcopy__(memo)
+                        for a, e in self.entries.items()}
+        twin.crit_forwards = self.crit_forwards
+        twin.trace = self.trace
+        twin.distances = (None if self.distances is None
+                          else list(self.distances))
+        return twin
 
     def entry(self, addr):
         e = self.entries.get(addr)

@@ -18,7 +18,7 @@ import heapq
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from .coherence import (
     CacheController,
@@ -112,13 +112,18 @@ class Config:
             raise ConfigError("procs must be >= 2, got %d" % self.procs)
         if not 1 <= self.n_threads() <= self.procs:
             raise ConfigError("threads must be in 1..procs")
-        if self.bandwidth < 1:
-            raise ConfigError("bandwidth must be positive")
-        for name in ("iters", "counters"):
+        for name in ("bandwidth", "iters", "counters", "msg_bytes_control",
+                     "msg_bytes_data", "mem_mb", "cycle_budget"):
             if getattr(self, name) < 1:
-                raise ConfigError("%s must be >= 1" % name)
-        if self.noncrit_work < 0:
-            raise ConfigError("noncrit_work must be >= 0")
+                raise ConfigError("%s must be >= 1, got %d"
+                                  % (name, getattr(self, name)))
+        # a negative latency schedules events in the past, which the run
+        # loop never reaches: the run would spin until the cycle budget
+        for name in ("noncrit_work", "hop_latency", "jitter", "lat_l1",
+                     "lat_l2", "lat_mem", "lat_dir"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be >= 0, got %d"
+                                  % (name, getattr(self, name)))
         # construction validates the topology/geometry constraints
         build_topology(self.topology, self.procs)
         self.l1_geometry()
@@ -451,6 +456,17 @@ class Simulator:
     # -- main loop -----------------------------------------------------------------
 
     def run(self):
+        try:
+            cycle = self._loop()
+        finally:
+            if self._trace_out is not None:
+                self._trace_out.close()
+        self.cycle = cycle
+        self.net.finalize(cycle)
+        return self._stats(cycle)
+
+    def _loop(self):
+        """Drive events and the network to completion; returns the end cycle."""
         cfg = self.cfg
         net = self.net
         evq = self.evq
@@ -461,8 +477,8 @@ class Simulator:
         budget = cfg.cycle_budget
         heappop = heapq.heappop
         net_step = net.step
-        active = net.active
         cycle = 0
+        watch_at = 0    # next watchdog boundary (a multiple of 65,536)
         while True:
             self.cycle = cycle
             while evq and evq[0][0] == cycle:
@@ -498,8 +514,10 @@ class Simulator:
                 raise SimulationError(
                     "cycle budget %d exceeded; probable deadlock/livelock. %s"
                     % (budget, self._stuck_cores(cycle)))
-            if cycle & 0xFFFF == 0:
+            if cycle >= watch_at:
+                # event-driven skips jump over boundaries: fire on crossing
                 self._watchdog(cycle)
+                watch_at = (cycle | 0xFFFF) + 1
 
             if net.active:
                 # queued link traffic: contention accrues, step every cycle
@@ -510,12 +528,7 @@ class Simulator:
                 if arr is not None and (nxt is None or arr < nxt):
                     nxt = arr
                 cycle = max(nxt, cycle + 1)
-
-        self.cycle = cycle
-        net.finalize(cycle)
-        if self._trace_out:
-            self._trace_out.close()
-        return self._stats(cycle)
+        return cycle
 
     def _watchdog(self, cycle):
         stuck = []

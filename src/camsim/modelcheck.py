@@ -4,14 +4,23 @@ Two caches and one directory share a single block. The checker enumerates
 every interleaving of core operations (load, store, replacement) up to a
 bounded operation count, crossed with every message delivery order that
 respects per-vnet FIFO between each source/destination pair. Messages on
-different virtual networks reorder freely, which is exactly the freedom
-the priority arbiter introduces in the timed simulator.
+different virtual networks reorder freely.
+
+Coverage limit: `_System.issue` always sends `crit=False`, so only the
+non-critical vnets 0-2 ever carry messages. The checker covers reordering
+across message classes (request / forward / response), not the
+critical/non-critical reordering that CAM's priority arbiter introduces
+in the timed simulator.
 
 At every quiescent state (no messages in flight, no open transactions)
 the single-writer/multiple-reader invariant must hold and the
 authoritative data token must equal the value of the most recently
 completed store. Any ProtocolError raised by the controllers is a
 failure.
+
+Successor states are cloned with `copy.deepcopy`, which dispatches to the
+structural `__deepcopy__` that every piece of checker state defines next
+to its fields.
 """
 
 from __future__ import annotations
@@ -63,6 +72,23 @@ class _System:
         self.ops_used = 0
         self.next_value = 1
         self.last_store = 0
+
+    def __deepcopy__(self, memo):
+        """Copy every mutable part, calling each child's copy directly.
+
+        No object appears twice within one state, so `memo` is passed
+        along but never consulted.
+        """
+        twin = _System.__new__(_System)
+        twin.caches = [c.__deepcopy__(memo) for c in self.caches]
+        twin.dir = self.dir.__deepcopy__(memo)
+        twin.channels = {k: [m.__deepcopy__(memo) for m in v]
+                         for k, v in self.channels.items()}
+        twin.outstanding = self.outstanding[:]   # entries are tuples or None
+        twin.ops_used = self.ops_used
+        twin.next_value = self.next_value
+        twin.last_store = self.last_store
+        return twin
 
     # -- plumbing -------------------------------------------------------------
 
@@ -123,6 +149,20 @@ class _System:
         else:  # evict
             events, msgs = cache.evict(_BLOCK)
             self._absorb(events, msgs, node)
+
+    def choices(self, max_ops):
+        """Every enabled (action, arg) pair, in exploration order."""
+        out = [("deliver", key) for key in sorted(self.channels)]
+        for node in range(_N_CACHES):
+            for op in self.legal_ops(node, max_ops):
+                out.append(("issue", (node, op)))
+        return out
+
+    def apply(self, action, arg):
+        if action == "deliver":
+            self.deliver(arg)
+        else:
+            self.issue(*arg)
 
     def legal_ops(self, node, max_ops):
         if self.ops_used >= max_ops or self.outstanding[node] is not None:
@@ -232,17 +272,10 @@ def run_check(max_ops=6, progress=None):
             if problems:
                 raise CheckFailure("invariant violation: %s"
                                    % "; ".join(problems))
-        choices = [("deliver", key) for key in sorted(sys.channels)]
-        for node in range(_N_CACHES):
-            for op in sys.legal_ops(node, max_ops):
-                choices.append(("issue", (node, op)))
-        for action, arg in choices:
+        for action, arg in sys.choices(max_ops):
             succ = _clone(sys)
             try:
-                if action == "deliver":
-                    succ.deliver(arg)
-                else:
-                    succ.issue(*arg)
+                succ.apply(action, arg)
             except ProtocolError as exc:
                 raise CheckFailure("protocol assertion after %s %r: %s"
                                    % (action, arg, exc)) from exc

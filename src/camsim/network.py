@@ -77,6 +77,29 @@ class Message:
         self.hop = 0
         self.stamp = 0
 
+    def __deepcopy__(self, memo):
+        # every slot holds an int, bool, None or a tuple of those
+        twin = Message.__new__(Message)
+        twin.mtype = self.mtype
+        twin.cls = self.cls
+        twin.crit = self.crit
+        twin.size = self.size
+        twin.src = self.src
+        twin.dst = self.dst
+        twin.addr = self.addr
+        twin.requester = self.requester
+        twin.acks = self.acks
+        twin.value = self.value
+        twin.excl = self.excl
+        twin.txn = self.txn
+        twin.vnet = self.vnet
+        twin.seqno = self.seqno
+        twin.inject_cycle = self.inject_cycle
+        twin.route = self.route
+        twin.hop = self.hop
+        twin.stamp = self.stamp
+        return twin
+
     def __repr__(self):
         return "Message(t%d %s->%s addr=%#x vnet=%d seq=%d)" % (
             self.mtype, self.src, self.dst, self.addr, self.vnet, self.seqno)

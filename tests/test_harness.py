@@ -8,6 +8,7 @@ from camsim.harness import (
     Config,
     RunStats,
     SimulationError,
+    Simulator,
     SweepRow,
     UsageError,
     compute_speedup,
@@ -81,9 +82,59 @@ def test_invalid_configs_rejected():
         small_cfg(counters=0).validate()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lat_l1", -1), ("lat_l2", -20), ("lat_mem", -1), ("lat_dir", -1),
+    ("hop_latency", -1), ("jitter", -1),
+    ("msg_bytes_control", 0), ("msg_bytes_data", 0), ("mem_mb", 0),
+    ("cycle_budget", 0),
+])
+def test_configs_that_would_hang_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        small_cfg(**{name: value}).validate()
+
+
+def test_zero_latencies_run_to_correct_counters():
+    for topology in ("crossbar", "torus2d", "hypercube"):
+        st = run_simulation(small_cfg(
+            topology=topology, lat_l1=0, lat_l2=0, lat_mem=0, lat_dir=0,
+            hop_latency=0, cycle_budget=1_000_000))
+        assert all(v == 4 * 2 for v in st.final_counters)
+        assert st.injected == st.delivered
+
+
+def test_home_uses_configured_block_size():
+    # 128 B blocks: cache requests and the final-counter read must agree
+    # on each block's home directory
+    st = run_simulation(Config(
+        topology="crossbar", procs=4, counters=20, iters=2, block_bytes=128,
+        l1_kb=1, l2_kb=2, l1_assoc=1, l2_assoc=1))
+    assert st.final_counters == [4 * 2] * 20
+
+
 def test_cycle_budget_trips_cleanly():
     with pytest.raises(SimulationError):
         run_simulation(small_cfg(cycle_budget=100))
+
+
+def test_watchdog_fires_at_every_boundary_crossed():
+    # long memory latency: event-driven skips jump over every boundary
+    sim = Simulator(small_cfg(lat_mem=7000, iters=4))
+    calls = []
+    watchdog = sim._watchdog
+    sim._watchdog = lambda cycle: (calls.append(cycle), watchdog(cycle))
+    st = sim.run()
+    assert st.total_cycles > 4 * 65536
+    boundaries = [c >> 16 for c in calls]
+    assert boundaries == list(range(len(calls)))
+    assert len(calls) >= st.total_cycles >> 16
+
+
+def test_trace_file_closed_when_run_fails(tmp_path):
+    sim = Simulator(small_cfg(trace_file=str(tmp_path / "trace.log"),
+                              cycle_budget=100))
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert sim._trace_out.closed
 
 
 def test_ratio_definition():
