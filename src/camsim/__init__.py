@@ -20,7 +20,7 @@ from .harness import (
     run_simulation,
     run_sweep,
 )
-from .memhier import CacheArray, CacheGeometry, split_address
+from .memhier import CacheArray, CacheGeometry
 from .network import Message, Network, serialization_cycles, vnet_of
 from .topology import ConfigError, Topology, build_topology
 from .workload import CoreState, Program, gen_microbenchmark
@@ -33,6 +33,5 @@ __all__ = [
     "ProtocolError", "RunStats", "SimulationError", "Topology",
     "build_topology", "check_swmr", "compute_speedup", "emit_csv",
     "gen_microbenchmark", "home_node", "paper_preset", "ratio_of",
-    "run_simulation", "run_sweep", "serialization_cycles", "split_address",
-    "vnet_of",
+    "run_simulation", "run_sweep", "serialization_cycles", "vnet_of",
 ]

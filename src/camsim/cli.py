@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .harness import (
     Config,
@@ -22,16 +22,19 @@ from .harness import (
     run_simulation,
     run_sweep,
 )
-from .topology import ConfigError
+from .topology import ConfigError, TOPOLOGY_KINDS
 from .workload import gen_microbenchmark
 
 _BOOLS = {"on": True, "true": True, "1": True, "yes": True,
           "off": False, "false": False, "0": False, "no": False}
 
+# Config key -> "bool", "str" or "int", from the field annotations
+# ("int | None" coerces as "int").
+_KINDS = {f.name: f.type.split(" | ")[0] for f in fields(Config)}
+
 
 def parse_config_file(path):
     """Read `key = value` lines; '#' starts a comment; keys may use '-'."""
-    field_types = {f.name: f.type for f in fields(Config)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -43,7 +46,7 @@ def parse_config_file(path):
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in field_types:
+            if key not in _KINDS:
                 raise ConfigError("%s:%d: unknown config key %r"
                                   % (path, lineno, key))
             values[key] = _coerce(key, val, path, lineno)
@@ -51,9 +54,10 @@ def parse_config_file(path):
 
 
 def _coerce(key, val, path, lineno):
-    if key in ("topology", "trace_file"):
+    kind = _KINDS[key]
+    if kind == "str":
         return val
-    if key in ("cam", "crit_tagging", "crit_forwards", "verify"):
+    if kind == "bool":
         try:
             return _BOOLS[val.lower()]
         except KeyError:
@@ -72,7 +76,7 @@ def build_parser():
                     "criticality-aware link arbitration.")
     p.add_argument("--config", metavar="FILE",
                    help="key = value config file; flags override it")
-    p.add_argument("--topology", choices=("crossbar", "torus2d", "hypercube"))
+    p.add_argument("--topology", choices=TOPOLOGY_KINDS)
     p.add_argument("--procs", type=int)
     p.add_argument("--counters", type=int)
     p.add_argument("--iters", type=int)

@@ -15,6 +15,10 @@ exclusive-clean, so a first reader lands in E.
 Criticality: every message of a transaction carries the crit bit of the
 core request that started it (forwards and invalidations inherit it when
 `crit_forwards` is set). Replacement writebacks are never critical.
+
+`check_swmr` is the one single-writer/multiple-reader check: the timed
+simulator runs it whenever a directory transaction closes or a writeback
+reaches the directory, and the model checker at every quiescent state.
 """
 
 from __future__ import annotations
@@ -81,15 +85,38 @@ def home_node(addr, n_nodes, block_bytes=64):
     return (addr // block_bytes) % n_nodes
 
 
-def check_swmr(states):
-    """Quiescent single-writer/multiple-reader check over one block.
+# Transient states count as the stable state whose data-holding obligations
+# they retain: writeback buffers still own the only valid copy, and SM
+# still holds a readable copy until invalidated.
+_EFFECTIVE_STATE = {
+    ST_I: ST_I, ST_S: ST_S, ST_E: ST_E, ST_O: ST_O, ST_M: ST_M,
+    ST_IS: ST_I, ST_IM: ST_I, ST_SM: ST_S, ST_OM: ST_O,
+    ST_MI: ST_M, ST_OI: ST_O, ST_II: ST_I,
+}
 
-    `states` maps node -> cache state constant. Returns a list of
+
+def check_swmr(caches, addr):
+    """Single-writer/multiple-reader check over one block.
+
+    Reads each cache controller's state for `addr` (resident block, else
+    writeback buffer) through `_EFFECTIVE_STATE`. Returns a list of
     violation strings (empty when the invariant holds).
     """
-    writers = [n for n, s in states.items() if s in (ST_M, ST_E)]
-    valid = [n for n, s in states.items() if s in READABLE]
-    owners = [n for n, s in states.items() if s == ST_O]
+    holders = []        # (node, effective state) of every valid copy
+    for cache in caches:
+        blk = cache.blocks.get(addr)
+        if blk is None:
+            blk = cache.wb.get(addr)
+            if blk is None:
+                continue
+        st = _EFFECTIVE_STATE[blk.state]
+        if st != ST_I:
+            holders.append((cache.node, st))
+    if len(holders) < 2:
+        return []
+    writers = [n for n, st in holders if st == ST_M or st == ST_E]
+    valid = [n for n, _ in holders]
+    owners = [n for n, st in holders if st == ST_O]
     problems = []
     if len(writers) > 1:
         problems.append("multiple M/E holders: %s" % writers)
@@ -207,7 +234,7 @@ class CacheController:
                        STATE_NAMES[new], crit)
 
     def _msg(self, mtype, dst, addr, crit, **kw):
-        # size placeholder; the injection layer applies configured bytes
+        # size placeholder; Simulator._send applies the configured bytes
         return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst,
                        addr, **kw)
 
@@ -561,17 +588,13 @@ class _DirEntry:
 class DirectoryController:
     """Home-node directory slice with a blocking per-block transaction queue."""
 
-    def __init__(self, node, n_nodes, crit_forwards=True, trace=None,
-                 distances=None):
+    def __init__(self, node, n_nodes, crit_forwards=True, trace=None):
         self.node = node
         self.n_nodes = n_nodes
         self.memory = {}  # block addr -> data token (sparse, default 0)
         self.entries = {}
         self.crit_forwards = crit_forwards
         self.trace = trace
-        # hop counts from this node, when a topology is attached; used to
-        # equalize invalidation round trips (see _on_getx)
-        self.distances = distances
 
     def __deepcopy__(self, memo):
         """Structural copy for the model checker; `trace` is shared."""
@@ -583,8 +606,6 @@ class DirectoryController:
                         for a, e in self.entries.items()}
         twin.crit_forwards = self.crit_forwards
         twin.trace = self.trace
-        twin.distances = (None if self.distances is None
-                          else list(self.distances))
         return twin
 
     def entry(self, addr):

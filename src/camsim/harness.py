@@ -31,19 +31,8 @@ from .coherence import (
     GETX,
     INV,
     MSG_NAMES,
+    OWNERSHIP,
     PUTX,
-    ST_E,
-    ST_I,
-    ST_II,
-    ST_IM,
-    ST_IS,
-    ST_M,
-    ST_MI,
-    ST_O,
-    ST_OI,
-    ST_OM,
-    ST_S,
-    ST_SM,
     check_swmr,
     home_node,
 )
@@ -51,16 +40,6 @@ from .memhier import CacheGeometry
 from .network import Network
 from .topology import ConfigError, TOPOLOGY_KINDS, build_topology
 from .workload import CoreState, gen_microbenchmark
-
-# State map used when auditing SWMR at transaction completion: transient
-# states count as the stable state whose data-holding obligations they
-# retain (writeback buffers still own the only valid copy; SM still holds
-# a readable copy until invalidated).
-_SWMR_EFFECTIVE = {
-    ST_I: ST_I, ST_S: ST_S, ST_E: ST_E, ST_O: ST_O, ST_M: ST_M,
-    ST_IS: ST_I, ST_IM: ST_I, ST_SM: ST_S, ST_OM: ST_O,
-    ST_MI: ST_M, ST_OI: ST_O, ST_II: ST_I,
-}
 
 
 class SimulationError(RuntimeError):
@@ -99,7 +78,6 @@ class Config:
     jitter: int = 0
     crit_tagging: bool = True
     crit_forwards: bool = True
-    verify: bool = True
     trace_file: str | None = None
 
     def n_threads(self):
@@ -193,9 +171,9 @@ _R_SEND = 2
 _EV_CORE = 0     # (tid, response)
 _EV_MSG = 1      # (msg, None)
 _EV_SEND = 2     # (msg, None)
-_EV_RETRY = 3    # (tid, addr) re-issue a parked spin load
+_EV_ISSUE = 3    # (tid, (op, addr, value, crit)) re-issue a parked spin
+                 # load or a request stalled behind a writeback
 _EV_DIR_POP = 4  # (msg, None) replay a request popped from a pending queue
-_EV_REISSUE = 5  # (tid, (op, addr, value, crit)) replay a stalled request
 
 
 class Simulator:
@@ -206,7 +184,6 @@ class Simulator:
         self.cfg = cfg
         self.topo = build_topology(cfg.topology, cfg.procs)
         self.net = Network(self.topo, cfg.bandwidth, cfg.hop_latency,
-                           cfg.msg_bytes_control, cfg.msg_bytes_data,
                            cam_enabled=cfg.cam)
         self.program = gen_microbenchmark(
             cfg.n_threads(), cfg.counters, cfg.iters, cfg.noncrit_work,
@@ -215,10 +192,8 @@ class Simulator:
         self.caches = [CacheController(n, l1g, l2g, cfg.procs,
                                        crit_forwards=cfg.crit_forwards)
                        for n in range(cfg.procs)]
-        self.dirs = [DirectoryController(
-                         n, cfg.procs, crit_forwards=cfg.crit_forwards,
-                         distances=[self.topo.min_hops(n, m)
-                                    for m in range(cfg.procs)])
+        self.dirs = [DirectoryController(n, cfg.procs,
+                                         crit_forwards=cfg.crit_forwards)
                      for n in range(cfg.procs)]
         self.cores = [CoreState(t, self.program.threads[t])
                       for t in range(cfg.n_threads())]
@@ -379,9 +354,8 @@ class Simulator:
         for ev in events:
             if ev[0] == "unblocked":
                 unblocked = True
-                if cfg.verify:
-                    self._check_swmr(ev[1])
-        if msg.mtype == PUTX and cfg.verify:
+                self._check_swmr(ev[1])
+        if msg.mtype == PUTX:
             self._check_swmr(msg.addr)
         # A finished or immediately-served request may leave queued work.
         if unblocked or (from_queue and msg.mtype == PUTX):
@@ -405,12 +379,13 @@ class Simulator:
             elif tag == "invalidated":
                 tid = self.parked.pop((node, ev[1]), None)
                 if tid is not None:
-                    self._push(self.cycle + 1, _R_CORE, _EV_RETRY, tid, ev[1])
+                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE,
+                               tid, ("spin", ev[1], None, False))
             elif tag == "wb_done":
                 stalled = self.wb_stalled.pop((node, ev[1]), None)
                 if stalled is not None:
                     op, value, crit = stalled
-                    self._push(self.cycle + 1, _R_CORE, _EV_REISSUE,
+                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE,
                                node, (op, ev[1], value, crit))
 
     def _finish_core_op(self, node, addr, result):
@@ -428,30 +403,11 @@ class Simulator:
 
     def _check_swmr(self, addr):
         self.swmr_checks += 1
-        writers = 0
-        valid = 0
-        owners = 0
-        for cache in self.caches:
-            blk = cache.blocks.get(addr)
-            if blk is None:
-                blk = cache.wb.get(addr)
-                if blk is None:
-                    continue
-            st = _SWMR_EFFECTIVE[blk.state]
-            if st == ST_M or st == ST_E:
-                writers += 1
-                valid += 1
-            elif st == ST_O:
-                owners += 1
-                valid += 1
-            elif st == ST_S:
-                valid += 1
-        if (writers > 1 or owners > 1 or (writers and valid > 1)):
-            states = {c.node: _SWMR_EFFECTIVE[c.state_of(addr)]
-                      for c in self.caches}
+        problems = check_swmr(self.caches, addr)
+        if problems:
             raise SimulationError(
                 "SWMR violation at cycle %d addr %#x: %s"
-                % (self.cycle, addr, "; ".join(check_swmr(states))))
+                % (self.cycle, addr, "; ".join(problems)))
 
     # -- main loop -----------------------------------------------------------------
 
@@ -492,12 +448,10 @@ class Simulator:
                         net.inject(m, cycle)
                 elif kind == _EV_DIR_POP:
                     self._process_dir(a, from_queue=True)
-                elif kind == _EV_REISSUE:
+                else:  # _EV_ISSUE
                     op, addr, value, crit = b
+                    self.core_op[a] = (op, addr)
                     self._issue_mem(a, op, addr, value, crit)
-                else:  # _EV_RETRY: re-issue a parked spin load
-                    self.core_op[a] = ("spin", b)
-                    self._issue_mem(a, "spin", b, None, False)
 
             deliveries = net_step(cycle)
             if deliveries:
@@ -566,7 +520,7 @@ class Simulator:
             val = None
             for cache in self.caches:
                 blk = cache.blocks.get(addr)
-                if blk is not None and blk.state in (ST_M, ST_E, ST_O):
+                if blk is not None and blk.state in OWNERSHIP:
                     val = blk.data
                     break
             if val is None:

@@ -38,14 +38,6 @@ class CacheGeometry:
         return self.capacity_bytes // (self.associativity * self.block_bytes)
 
 
-def split_address(addr, geom, mem_bytes=None):
-    """Split addr into (tag, set index, block offset) for `geom`."""
-    if mem_bytes is not None and not 0 <= addr < mem_bytes:
-        raise ConfigError("address %#x outside the %d-byte memory" % (addr, mem_bytes))
-    block = addr // geom.block_bytes
-    return block // geom.n_sets, block % geom.n_sets, addr % geom.block_bytes
-
-
 class CacheArray:
     """Per-set MRU-ordered tag lists (front = most recent)."""
 
@@ -88,13 +80,6 @@ class CacheArray:
         block = addr // self._block_bytes
         ways = self.sets.get(block % self._n_sets)
         return bool(ways) and block // self._n_sets in ways
-
-    def select_victim(self, set_idx):
-        """LRU tag of a full set, or None if the set still has room."""
-        ways = self.sets.get(set_idx, [])
-        if len(ways) < self.geometry.associativity:
-            return None
-        return ways[-1]
 
     def install(self, addr, exclude=()):
         """Insert addr at MRU; returns the evicted block address or None.

@@ -31,17 +31,15 @@ from dataclasses import dataclass
 from .coherence import (
     CacheController,
     DIR_BOUND,
+    DIR_BUSY,
     DirectoryController,
+    OWNERSHIP,
     ProtocolError,
-    ST_E,
-    ST_I,
-    ST_M,
-    ST_O,
+    READABLE,
     ST_S,
     check_swmr,
 )
 from .memhier import CacheGeometry
-from .network import Message, vnet_of
 
 
 _BLOCK = 0          # the single block under test, homed at node 0
@@ -173,7 +171,7 @@ class _System:
             return ()
         ops = ["load", "store"]
         blk = cache.blocks.get(_BLOCK)
-        if blk is not None and blk.state in (ST_M, ST_O, ST_E, ST_S):
+        if blk is not None and blk.state in READABLE:
             ops.append("evict")
         return ops
 
@@ -185,19 +183,17 @@ class _System:
         if any(c.txns or c.wb for c in self.caches):
             return False
         for e in self.dir.entries.values():
-            if e.state == 4 or e.pending:  # DIR_BUSY
+            if e.state == DIR_BUSY or e.pending:
                 return False
         return True
 
     def check_invariants(self):
-        problems = []
-        states = {c.node: c.state_of(_BLOCK) for c in self.caches}
-        problems.extend(check_swmr(states))
+        problems = check_swmr(self.caches, _BLOCK)
         # authoritative token: owner cache if any, else home memory
         value = None
         for c in self.caches:
             blk = c.blocks.get(_BLOCK)
-            if blk is not None and blk.state in (ST_M, ST_E, ST_O):
+            if blk is not None and blk.state in OWNERSHIP:
                 value = blk.data
                 break
         if value is None:

@@ -39,7 +39,7 @@ def vnet_of(msg_class, crit):
 
 def serialization_cycles(size_bytes, bandwidth):
     """Cycles a link is occupied by one message: ceil(bytes*10/bw), min 1."""
-    return max(1, -(-size_bytes * 10 // bandwidth))
+    return -(-size_bytes * 10 // bandwidth) or 1
 
 
 class Message:
@@ -112,13 +112,10 @@ class Network:
     link index. The instance is single-owner: one simulation drives it.
     """
 
-    def __init__(self, topo, bandwidth, hop_latency=1,
-                 control_bytes=8, data_bytes=72, cam_enabled=False):
+    def __init__(self, topo, bandwidth, hop_latency=1, cam_enabled=False):
         self.topo = topo
         self.bandwidth = bandwidth
         self.hop_latency = hop_latency
-        self.control_bytes = control_bytes
-        self.data_bytes = data_bytes
         self.cam_enabled = cam_enabled
 
         n = topo.n_links
@@ -149,12 +146,8 @@ class Network:
             for d in nodes:
                 if s != d:
                     self.routes[(s, d)] = tuple(links[l] for l in topo.route(s, d))
-        self.link_dst = [lid.dst for lid in topo.link_list]
 
     # -- injection ---------------------------------------------------------
-
-    def message_size(self, carries_data):
-        return self.data_bytes if carries_data else self.control_bytes
 
     def inject(self, msg, cycle):
         """Assign the next seqno and queue msg on the first link of its route."""
@@ -180,59 +173,11 @@ class Network:
 
     # -- per-cycle operations ----------------------------------------------
 
-    def has_queued(self):
-        return bool(self.active)
-
-    def sample_contention(self, cycle):
-        """Count links whose buffers hold both critical and non-critical traffic."""
-        cc = self.contention_cycles
-        lo, hi = self.lo_cnt, self.hi_cnt
-        for li in self.active:
-            if lo[li] and hi[li]:
-                cc[li] += 1
-
-    def sample_contention_link(self, li, cycle):
-        if self.lo_cnt[li] and self.hi_cnt[li]:
-            self.contention_cycles[li] += 1
-            return True
-        return False
-
-    def arbitrate_link(self, li, cycle):
-        """Pick the next message to serialize on link li, if it is free.
-
-        Returns the selected message or None. The winner is removed from
-        its buffer and scheduled to complete the hop at
-        cycle + serialization - 1 + hop_latency.
-        """
-        if self.busy_until[li] > cycle:
-            return None
-        bufs = self.bufs[li]
-        if self.cam_enabled and self.hi_cnt[li]:
-            lanes = (3, 4, 5)
-        else:
-            lanes = (0, 1, 2, 3, 4, 5)
-        best = None
-        for v in lanes:
-            q = bufs[v]
-            if q and (best is None or q[0].stamp < best.stamp):
-                best = q[0]
-        if best is None:
-            return None
-        bufs[best.vnet].popleft()
-        if best.vnet < 3:
-            self.lo_cnt[li] -= 1
-        else:
-            self.hi_cnt[li] -= 1
-        ser = serialization_cycles(best.size, self.bandwidth)
-        self.busy_until[li] = cycle + ser
-        self.busy_cycles[li] += ser
-        arrive = cycle + ser - 1 + self.hop_latency
-        self._arrivals.setdefault(arrive, []).append(best)
-        return best
-
     def step(self, cycle):
         """Arbitrate all queued links, then complete hops due this cycle.
 
+        Each queued link first counts a contention cycle if its buffers
+        hold both critical and non-critical traffic, then arbitrates.
         Returns the list of messages delivered to their destination
         endpoint this cycle. Messages finishing an intermediate hop are
         requeued and become arbitration candidates next cycle.
@@ -270,9 +215,7 @@ class Network:
                             lo[li] -= 1
                         else:
                             hi[li] -= 1
-                        ser = -(-best.size * 10 // bw)
-                        if ser < 1:
-                            ser = 1
+                        ser = serialization_cycles(best.size, bw)
                         busy_until[li] = cycle + ser
                         busy_cycles[li] += ser
                         arrive = cycle + ser + hl1

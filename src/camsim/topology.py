@@ -62,7 +62,6 @@ class Topology:
         self.n_endpoints = n_endpoints
         self.nodes = [NodeId(i, ENDPOINT) for i in range(n_endpoints)]
         self.links = {}  # LinkId -> dense index
-        self.out_links = {}  # node -> sorted list of LinkId
 
         if kind == "crossbar":
             self.router = n_endpoints
@@ -105,16 +104,11 @@ class Topology:
             )
 
         self.n_links = len(self.links)
-        self.link_list = sorted(self.links, key=self.links.get)
 
     def _add_link(self, src, dst):
         lid = LinkId(src, dst)
         if lid not in self.links:
             self.links[lid] = len(self.links)
-            self.out_links.setdefault(src, []).append(lid)
-
-    def is_endpoint(self, node):
-        return node < self.n_endpoints
 
     def next_hop(self, at, dest):
         """Return the outgoing LinkId on the deterministic minimal route."""

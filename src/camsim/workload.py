@@ -16,7 +16,7 @@ read-modify-write); on failure go back to spinning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Instruction opcodes (instructions are tuples starting with one of these).
 LOAD = "load"
@@ -253,11 +253,6 @@ class CoreState:
                 return ("mem", "store", ins[1], 0, False)
             else:
                 raise WorkloadError("T%d: unknown opcode %r" % (self.tid, op))
-
-
-def core_step(core, cycle, response=None):
-    """Single-step entry point; `cycle` is accepted for interface parity."""
-    return core.step(response)
 
 
 def apply_crit_marker(core, marker):

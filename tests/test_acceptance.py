@@ -58,8 +58,8 @@ def test_criterion_1_functional_correctness(preset_rows):
 
 
 def test_criterion_2_swmr_and_data_value(preset_rows):
-    # Preset runs execute with verify=True: run_simulation raises on any
-    # SWMR violation, so reaching here means zero violations there.
+    # Every run checks SWMR: run_simulation raises on any violation, so
+    # reaching here means zero violations there.
     checks = sum(r.stats.swmr_checks for r in preset_rows.values())
     report("2 SWMR + data-value (preset)", checks > 0,
            "%d transaction checks" % checks)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from camsim.memhier import CacheArray, CacheGeometry, split_address
+from camsim.memhier import CacheArray, CacheGeometry
 from camsim.topology import ConfigError
 
 
@@ -24,22 +24,23 @@ def test_geometry_rejects_non_power_of_two():
         CacheGeometry(64, 4, 64)  # capacity < assoc * block
 
 
-def test_split_address_example():
+def test_address_mapping_example():
     # addr 0x12345 with 1024 sets: offset 0x05, set 0x08D, tag 0x1
-    tag, idx, off = split_address(0x12345, L1)
-    assert (tag, idx, off) == (0x1, 0x08D, 0x05)
+    c = CacheArray(L1)
+    c.install(0x12345)
+    assert c.sets == {0x08D: [0x1]}
+    assert c.contains(0x12340)                 # same block, offset dropped
+    assert c.block_addr(0x1, 0x08D) == 0x12340
 
 
-def test_split_address_zero_and_same_block():
-    assert split_address(0, L1) == (0, 0, 0)
-    t1 = split_address(0x1000, L1)[:2]
-    t2 = split_address(0x1001, L1)[:2]
-    assert t1 == t2
-
-
-def test_split_address_range_check():
-    with pytest.raises(ConfigError):
-        split_address(512 * 1024 * 1024, L1, mem_bytes=512 * 1024 * 1024)
+def test_address_zero_and_same_block():
+    c = CacheArray(L1)
+    c.install(0)
+    assert c.sets == {0: [0]}
+    c.install(0x1000)
+    assert c.contains(0x1001)
+    with pytest.raises(ValueError):
+        c.install(0x1001)                      # 0x1000's block is resident
 
 
 def small():
@@ -59,8 +60,8 @@ def test_lru_eviction_order():
     addrs = [i * geom.block_bytes * geom.n_sets for i in range(5)]
     for a in addrs[:4]:
         c.install(a)
-    # oldest untouched is addrs[0]
-    assert c.select_victim(0) is not None
+    # the set is full; oldest untouched is addrs[0]
+    assert all(c.contains(a) for a in addrs[:4])
     victim = c.install(addrs[4])
     assert victim == addrs[0]
     assert not c.contains(addrs[0])
@@ -79,7 +80,8 @@ def test_lru_touch_changes_victim():
 def test_install_into_free_way_evicts_nothing():
     c = small()
     assert c.install(0) is None
-    assert c.select_victim(0) is None
+    assert [c.install(i * 64) for i in range(1, 4)] == [None, None, None]
+    assert c.contains(0)
 
 
 def test_install_respects_exclusions():

@@ -78,6 +78,11 @@ def test_same_cycle_injections_keep_order():
     assert list(net.bufs[li][0]) == [a, b]
 
 
+def first_link(topo):
+    # crossbar routes 0 -> 5 and 0 -> 6 share their first link, 0 -> router
+    return topo.links[topo.next_hop(0, 5)]
+
+
 def test_priority_selects_critical_when_cam_on():
     topo, net = crossbar_net(cam=True)
     a = mk_msg(src=0, dst=5)                       # noncrit, queued first
@@ -85,8 +90,10 @@ def test_priority_selects_critical_when_cam_on():
     b.vnet = 3
     net.inject(a, 0)
     net.inject(b, 0)
-    li = topo.links[topo.next_hop(0, 5)]
-    assert net.arbitrate_link(li, 0) is b
+    li = first_link(topo)
+    net.step(0)
+    assert not net.bufs[li][3]                     # b won the link
+    assert list(net.bufs[li][0]) == [a]
 
 
 def test_baseline_selects_oldest_regardless_of_vnet():
@@ -96,13 +103,22 @@ def test_baseline_selects_oldest_regardless_of_vnet():
     b.vnet = 3
     net.inject(a, 0)
     net.inject(b, 0)
-    li = topo.links[topo.next_hop(0, 5)]
-    assert net.arbitrate_link(li, 0) is a
+    li = first_link(topo)
+    net.step(0)
+    assert not net.bufs[li][0]                     # a won the link
+    assert list(net.bufs[li][3]) == [b]
 
 
 def test_arbitrate_empty_returns_none():
     topo, net = crossbar_net()
-    assert net.arbitrate_link(0, 0) is None
+    assert net.step(0) == ()
+    assert net.busy_until == [0] * net.n_links
+    net.inject(mk_msg(src=0, dst=5), 1)
+    net.step(1)
+    li = first_link(topo)
+    # only the link that had a message queued was arbitrated
+    assert [i for i in range(net.n_links) if net.busy_until[i]] == [li]
+    assert net.busy_cycles[li] == sum(net.busy_cycles) == 1
 
 
 def test_link_busy_during_serialization():
@@ -111,24 +127,31 @@ def test_link_busy_during_serialization():
     small = mk_msg(src=0, dst=6)
     net.inject(big, 0)
     net.inject(small, 0)
-    li = topo.links[topo.next_hop(0, 5)]
-    assert net.arbitrate_link(li, 0) is big
+    li = first_link(topo)
+    net.step(0)                                    # big wins
     assert net.busy_until[li] == 6
-    assert net.arbitrate_link(li, 3) is None      # mid-serialization
-    assert net.arbitrate_link(li, 6) is small
+    for cyc in range(1, 6):                        # mid-serialization
+        net.step(cyc)
+        assert list(net.bufs[li][0]) == [small]
+    net.step(6)                                    # small wins
+    assert not net.bufs[li][0]
     assert net.busy_cycles[li] == 7
 
 
 def test_contention_sample():
+    # step samples contention before it arbitrates
     topo, net = crossbar_net()
-    li = topo.links[topo.next_hop(0, 5)]
-    a = mk_msg(src=0, dst=5)
-    net.inject(a, 0)
-    assert not net.sample_contention_link(li, 0)   # one side only
+    li = first_link(topo)
+    net.inject(mk_msg(src=0, dst=5), 0)
+    net.step(0)
+    assert net.contention_cycles[li] == 0          # one side only
     b = mk_msg(src=0, dst=6, crit=True)
     b.vnet = 3
-    net.inject(b, 0)
-    assert net.sample_contention_link(li, 0)
+    net.inject(mk_msg(src=0, dst=5), 1)
+    net.inject(b, 1)
+    net.step(1)
+    assert net.contention_cycles[li] == 1
+    net.step(2)                                    # only b is left queued
     assert net.contention_cycles[li] == 1
 
 

@@ -15,7 +15,6 @@ from camsim.workload import (
     UNLOCK,
     WorkloadError,
     apply_crit_marker,
-    core_step,
     gen_microbenchmark,
     sequential_oracle,
     validate_program,
@@ -121,14 +120,14 @@ def test_core_tags_requests_with_crit_flag():
     prog = gen_microbenchmark(1, 1, 1, 1)
     core = CoreState(0, prog.threads[0])
     seen = []
-    action = core_step(core, 0)
+    action = core.step()
     while action[0] != "done":
         if action[0] == "mem":
             seen.append((action[1], action[2], action[4]))
             resp = 0  # every load observes 0; rmw succeeds
-            action = core_step(core, 0, resp)
+            action = core.step(resp)
         else:
-            action = core_step(core, 0)
+            action = core.step()
     # scratch pair: noncrit; lock ops: noncrit; counter pair: crit
     kinds = [(op, crit) for op, addr, crit in seen]
     assert ("load", False) in kinds          # scratch load
