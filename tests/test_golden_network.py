@@ -1,0 +1,68 @@
+"""Golden determinism oracle for the network and event loop.
+
+Each line of the data file is the full `RunStats` of one run, as
+`json.dumps(asdict(stats), sort_keys=True)`: total cycles, request
+counts, injected/delivered, SWMR checks, final counters and the per-link
+busy, contention and transmitted vectors. The configs exercise what link
+timing and arbitration depend on: zero and long hop latency, delivery
+jitter under two seeds, a bandwidth-starved 16-processor CAM run with
+real queues and contention, zero directory/L2 latency, and CAM without
+crit tagging. A change that alters simulated behaviour on purpose
+regenerates the file with `PYTHONPATH=src python tests/test_golden_network.py`
+and says why in CHANGES.md.
+"""
+
+import json
+import os
+import sys
+from dataclasses import asdict
+
+from camsim.harness import Config, run_simulation
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                      "golden_network.jsonl")
+
+BASE = dict(counters=6, iters=2, noncrit_work=8, lat_mem=10)
+
+CONFIGS = (
+    dict(topology="torus2d", procs=8, hop_latency=0),
+    dict(topology="torus2d", procs=8, hop_latency=0, cam=True),
+    dict(topology="hypercube", procs=8, hop_latency=0, bandwidth=20, cam=True),
+    dict(topology="torus2d", procs=8, hop_latency=3),
+    dict(topology="hypercube", procs=8, hop_latency=3, cam=True),
+    dict(topology="crossbar", procs=8, hop_latency=3, bandwidth=30, cam=True),
+    dict(topology="torus2d", procs=8, jitter=2, seed=1),
+    dict(topology="torus2d", procs=8, jitter=2, seed=2, cam=True),
+    dict(topology="crossbar", procs=4, jitter=2, seed=2, hop_latency=0),
+    dict(topology="torus2d", procs=16, bandwidth=10),
+    dict(topology="torus2d", procs=16, bandwidth=10, cam=True),
+    dict(topology="crossbar", procs=16, bandwidth=10, cam=True),
+    dict(topology="hypercube", procs=8, lat_dir=0, lat_l2=0),
+    dict(topology="crossbar", procs=8, lat_dir=0, lat_l2=0, hop_latency=0,
+         cam=True),
+    dict(topology="torus2d", procs=8, crit_tagging=False, cam=True,
+         bandwidth=20),
+)
+
+
+def golden_lines():
+    lines = []
+    for delta in CONFIGS:
+        stats = run_simulation(Config(**dict(BASE, **delta)))
+        lines.append(json.dumps(asdict(stats), sort_keys=True))
+    return lines
+
+
+def test_network_runs_match_golden():
+    with open(GOLDEN) as fh:
+        expected = fh.read().splitlines()
+    got = golden_lines()
+    assert len(got) == len(expected)
+    for delta, line, want in zip(CONFIGS, got, expected):
+        assert line == want, delta
+
+
+if __name__ == "__main__":
+    sys.stdout.write("regenerating %s\n" % GOLDEN)
+    with open(GOLDEN, "w") as fh:
+        fh.write("\n".join(golden_lines()) + "\n")
