@@ -102,17 +102,17 @@ def check_swmr(caches, addr):
     writeback buffer) through `_EFFECTIVE_STATE`. Returns a list of
     violation strings (empty when the invariant holds).
     """
-    holders = []        # (node, effective state) of every valid copy
+    holders = None      # (node, effective state) of every valid copy
     for cache in caches:
-        blk = cache.blocks.get(addr)
-        if blk is None:
-            blk = cache.wb.get(addr)
-            if blk is None:
-                continue
-        st = _EFFECTIVE_STATE[blk.state]
-        if st != ST_I:
-            holders.append((cache.node, st))
-    if len(holders) < 2:
+        blk = cache.blocks.get(addr) or cache.wb.get(addr)
+        if blk is not None:
+            st = _EFFECTIVE_STATE[blk.state]
+            if st != ST_I:
+                if holders is None:
+                    holders = [(cache.node, st)]
+                else:
+                    holders.append((cache.node, st))
+    if holders is None or len(holders) < 2:
         return []
     writers = [n for n, st in holders if st == ST_M or st == ST_E]
     valid = [n for n, _ in holders]
@@ -179,6 +179,21 @@ class _Txn:
         return twin
 
 
+class _Pinned:
+    """Blocks an L2 fill must not victimize: those with an in-flight
+    transaction or writeback, and the block being filled."""
+
+    __slots__ = ("txns", "wb", "addr")
+
+    def __init__(self, txns, wb, addr):
+        self.txns = txns
+        self.wb = wb
+        self.addr = addr
+
+    def __contains__(self, addr):
+        return addr == self.addr or addr in self.txns or addr in self.wb
+
+
 class CacheController:
     """Per-node L1/L2 cache with the MOESI cache-side transition table.
 
@@ -233,10 +248,11 @@ class CacheController:
             self.trace(self.node, event, addr, STATE_NAMES[old],
                        STATE_NAMES[new], crit)
 
-    def _msg(self, mtype, dst, addr, crit, **kw):
+    def _msg(self, mtype, dst, addr, crit, requester=None, acks=0,
+             value=None, excl=False, txn=None):
         # size placeholder; Simulator._send applies the configured bytes
         return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst,
-                       addr, **kw)
+                       addr, requester, acks, value, excl, txn)
 
     def _home(self, addr):
         return home_node(addr, self.n_nodes, self._block_bytes)
@@ -368,8 +384,8 @@ class CacheController:
         msgs = []
         events = []
         if not self.l2.contains(addr):
-            exclude = set(self.txns) | set(self.wb) | {addr}
-            victim = self.l2.install(addr, exclude=exclude)
+            victim = self.l2.install(
+                addr, exclude=_Pinned(self.txns, self.wb, addr))
             if victim is not None:
                 ev, m = self.evict(victim)
                 # evict() removed the victim's l2 entry; ours stays.
@@ -620,9 +636,10 @@ class DirectoryController:
             self.trace(self.node, event, addr, DIR_NAMES[old], DIR_NAMES[new],
                        crit)
 
-    def _msg(self, mtype, dst, addr, crit, **kw):
-        return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst, addr,
-                       **kw)
+    def _msg(self, mtype, dst, addr, crit, requester=None, acks=0,
+             value=None, excl=False, txn=None):
+        return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst,
+                       addr, requester, acks, value, excl, txn)
 
     def handle(self, msg, from_queue=False):
         """Returns (events, outgoing msgs, used_memory).

@@ -1,10 +1,16 @@
 """Simulation harness: config, the cycle loop, stats, sweeps and CSV.
 
-The cycle loop follows a fixed phase order -- contention sampling, core
-steps, controller message processing (which injects new messages), then
-link arbitration and advance -- and is event-driven between phases: idle
-stretches with no queued link traffic are skipped wholesale, which is
-what makes desk-scale runs of a 16-processor system practical.
+Each visited cycle runs a fixed phase order: link hops that land this
+cycle (`Network.land`; arrived messages are scheduled for processing,
+plus any delivery jitter), then the cycle's events -- core steps and
+controller message processing, which inject new messages -- then link
+arbitration (`Network.step`, only while links are queued). The loop then
+jumps straight to the next cycle at which anything can happen: the
+earliest of the next event, the next hop landing and the next release of
+a queued link. Stretches with no traffic and stretches where every
+queued link is still serializing are skipped wholesale; the network
+credits contention for the skipped all-busy cycles in bulk. This is what
+makes desk-scale runs of a 16-processor system practical.
 
 Determinism: a configuration (including its seed) fully determines the
 run. All scheduling is through one heap keyed (cycle, phase, sequence
@@ -170,10 +176,11 @@ _R_SEND = 2
 
 _EV_CORE = 0     # (tid, response)
 _EV_MSG = 1      # (msg, None)
-_EV_SEND = 2     # (msg, None)
+_EV_SEND = 2     # ([msgs], None) inject into the network
 _EV_ISSUE = 3    # (tid, (op, addr, value, crit)) re-issue a parked spin
                  # load or a request stalled behind a writeback
 _EV_DIR_POP = 4  # (msg, None) replay a request popped from a pending queue
+_EV_NAMES = ("core", "msg", "send", "issue", "dir_pop")
 
 
 class Simulator:
@@ -198,6 +205,11 @@ class Simulator:
         self.cores = [CoreState(t, self.program.threads[t])
                       for t in range(cfg.n_threads())]
         self.rng = random.Random(cfg.seed)
+        self._crit_tagging = cfg.crit_tagging
+        # message bytes by message type; _send is their one owner
+        self._size_of = [cfg.msg_bytes_data if mt in DATA_BEARING
+                         else cfg.msg_bytes_control
+                         for mt in range(len(MSG_NAMES))]
 
         self.cycle = 0
         self.evq = []
@@ -206,7 +218,7 @@ class Simulator:
         self.noncrit_reqs = 0
         self.swmr_checks = 0
         self.core_op = [None] * len(self.cores)   # (op, addr) while blocked
-        self.parked = {}                          # (node, addr) -> tid
+        self.parked = set()                       # (tid, addr) spinning
         self.wb_stalled = {}                      # (node, addr) -> (op, value, crit)
         # INV fan-out pacing: beyond any wake round-trip spread (each hop
         # costs serialization plus hop latency in both directions)
@@ -244,21 +256,19 @@ class Simulator:
         first. Un-paced fan-out would let network distance pick the same
         winners every handoff and starve distant spinners.
         """
-        cfg = self.cfg
+        size_of = self._size_of
         remote = None
         inv_rank = 0
         for msg in msgs:
-            if not cfg.crit_tagging and msg.crit:
+            if msg.crit and not self._crit_tagging:
                 msg.crit = False
-                msg.vnet = msg.cls
             mt = msg.mtype
             if mt == GETS or mt == GETX or mt == PUTX:
                 if msg.crit:
                     self.crit_reqs += 1
                 else:
                     self.noncrit_reqs += 1
-            msg.size = (cfg.msg_bytes_data if mt in DATA_BEARING
-                        else cfg.msg_bytes_control)
+            msg.size = size_of[mt]
             if self._trace_out is not None:
                 self._trace_out.write("%d %d send_%s %#x - - %d\n"
                                       % (cycle, msg.src, MSG_NAMES[mt],
@@ -266,19 +276,26 @@ class Simulator:
             if mt == INV:
                 at = cycle + inv_rank * self.inv_pace
                 inv_rank += 1
+                self._seq += 1
                 if msg.src == msg.dst:
-                    self._push(at + 1, _R_MSG, _EV_MSG, msg)
+                    heapq.heappush(self.evq, (at + 1, _R_MSG, self._seq,
+                                              _EV_MSG, msg, None))
                 else:
-                    self._push(at, _R_SEND, _EV_SEND, (msg,))
+                    heapq.heappush(self.evq, (at, _R_SEND, self._seq,
+                                              _EV_SEND, (msg,), None))
             elif msg.src == msg.dst:
                 # co-located cache and directory slice: no network traversal
-                self._push(cycle + 1, _R_MSG, _EV_MSG, msg)
+                self._seq += 1
+                heapq.heappush(self.evq, (cycle + 1, _R_MSG, self._seq,
+                                          _EV_MSG, msg, None))
             elif remote is None:
                 remote = [msg]
             else:
                 remote.append(msg)
         if remote is not None:
-            self._push(cycle, _R_SEND, _EV_SEND, remote)
+            self._seq += 1
+            heapq.heappush(self.evq, (cycle, _R_SEND, self._seq, _EV_SEND,
+                                      remote, None))
 
     # -- core/memory interface -------------------------------------------------
 
@@ -325,7 +342,7 @@ class Simulator:
         if msgs:
             self._send(msgs, done_at)
         if op == "spin" and val != 0:
-            self.parked[(tid, addr)] = tid   # wait for invalidation
+            self.parked.add((tid, addr))     # wait for invalidation
         else:
             self.core_op[tid] = None
             self._resume_core(tid, val, done_at)
@@ -377,10 +394,11 @@ class Simulator:
                 _, addr, kind, result, rmw = ev
                 self._finish_core_op(node, addr, result)
             elif tag == "invalidated":
-                tid = self.parked.pop((node, ev[1]), None)
-                if tid is not None:
+                key = (node, ev[1])
+                if key in self.parked:
+                    self.parked.remove(key)
                     self._push(self.cycle + 1, _R_CORE, _EV_ISSUE,
-                               tid, ("spin", ev[1], None, False))
+                               node, ("spin", ev[1], None, False))
             elif tag == "wb_done":
                 stalled = self.wb_stalled.pop((node, ev[1]), None)
                 if stalled is not None:
@@ -396,7 +414,7 @@ class Simulator:
             return
         if op[0] == "spin" and result != 0:
             # lock still held: stay parked on the (now resident) copy
-            self.parked[(node, addr)] = node
+            self.parked.add((node, addr))
             return
         self.core_op[node] = None
         self._resume_core(node, result, self.cycle + 1)
@@ -430,13 +448,25 @@ class Simulator:
             self._resume_core(tid, None, 0)
 
         jitter = cfg.jitter
+        randrange = self.rng.randrange
         budget = cfg.cycle_budget
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        net_land = net.land
         net_step = net.step
+        active = net.active
         cycle = 0
         watch_at = 0    # next watchdog boundary (a multiple of 65,536)
         while True:
             self.cycle = cycle
+            landed = net_land(cycle)
+            if landed:
+                # jitter draws follow landing order
+                for msg in landed:
+                    self._seq += 1
+                    heappush(evq, (cycle + randrange(jitter + 1) if jitter
+                                   else cycle, _R_MSG, self._seq, _EV_MSG,
+                                   msg, None))
             while evq and evq[0][0] == cycle:
                 _, _, _, kind, a, b = heappop(evq)
                 if kind == _EV_CORE:
@@ -453,13 +483,9 @@ class Simulator:
                     self.core_op[a] = (op, addr)
                     self._issue_mem(a, op, addr, value, crit)
 
-            deliveries = net_step(cycle)
-            if deliveries:
-                for msg in deliveries:
-                    delay = 1 + (self.rng.randrange(jitter + 1) if jitter else 0)
-                    self._push(cycle + delay, _R_MSG, _EV_MSG, msg)
-
-            if not evq and net.idle():
+            if active:
+                net_step(cycle)
+            elif not evq and net.idle():
                 if self.cores_left == 0:
                     break
                 self._report_stall(cycle)
@@ -473,15 +499,19 @@ class Simulator:
                 self._watchdog(cycle)
                 watch_at = (cycle | 0xFFFF) + 1
 
-            if net.active:
-                # queued link traffic: contention accrues, step every cycle
-                cycle += 1
-            else:
-                nxt = evq[0][0] if evq else None
-                arr = net.next_arrival()
-                if arr is not None and (nxt is None or arr < nxt):
-                    nxt = arr
-                cycle = max(nxt, cycle + 1)
+            # next cycle: the next event, landing or link release
+            nxt = net.wake
+            if evq and evq[0][0] < nxt:
+                nxt = evq[0][0]
+                if nxt <= cycle:
+                    raise SimulationError(
+                        "%s event scheduled for cycle %d, before the "
+                        "current cycle %d" % (_EV_NAMES[evq[0][3]], nxt,
+                                              cycle))
+            if active and nxt > cycle + 1:
+                # every queued link is serializing until nxt
+                net.skip(nxt - cycle - 1)
+            cycle = nxt
         return cycle
 
     def _watchdog(self, cycle):

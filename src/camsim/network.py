@@ -1,35 +1,55 @@
-"""Message transport over links with six virtual networks.
+"""Message transport over links with two arbitration lanes per link.
 
 Messages of the three protocol classes (request / forward / response)
-travel on vnets 0-2 when non-critical and 3-5 when critical. Links are
-store-and-forward at whole-message granularity: a link serializes one
-message at a time, for ceil(size_bytes * 10 / bandwidth) cycles, then the
-message propagates for `hop_latency` cycles and lands in the next link's
-input buffer (or at the destination endpoint). Routers add no queueing of
-their own: links are the only contention points.
+travel on vnets 0-2 when non-critical and 3-5 when critical; every
+message carries its vnet (`Message.vnet`). Links are store-and-forward
+at whole-message granularity: a link serializes one message at a time,
+for ceil(size_bytes * 10 / bandwidth) cycles, then the message propagates
+for `hop_latency` cycles and lands in the next link's input buffer (or at
+the destination endpoint). Routers add no queueing of their own: links
+are the only contention points.
 
-Arbitration at a link input buffer:
+Each link's input buffer is two FIFOs in arrival order: the non-critical
+lane (vnets 0-2) and the critical lane (vnets 3-5). Every enqueue stamps
+the message with a rising arrival number. Within one vnet FIFO order is
+stamp order, so the oldest head across vnets 3-5 is the head of their
+merged FIFO, and likewise for vnets 0-2; the two lanes therefore
+arbitrate exactly as six per-vnet buffers would:
 
-* cam disabled -- the oldest queued message by arrival at this link wins,
+* cam disabled -- the older of the two lane heads (by stamp) wins,
   regardless of vnet. This makes the crit bit performance-neutral in
   baseline mode (splitting one class queue across vnets 0-2/3-5 cannot
   reorder service).
-* cam enabled  -- if any critical buffer (vnet 3-5) is non-empty, the
-  oldest critical message wins; otherwise as above.
+* cam enabled  -- the critical lane's head wins whenever that lane is
+  non-empty; otherwise the non-critical head.
+
+Timing is event-driven at hop granularity. A hop arbitrated at cycle `c`
+lands at `c + ser + hop_latency`: the first cycle at which it can compete
+at its next link or be processed at its destination. `land(cycle)` runs
+at the start of that cycle, requeues the landed messages that have hops
+left and returns the ones that have arrived. `step(cycle)` arbitrates
+every free queued link and leaves `wake` at the next cycle at which
+anything can change here: the next landing or the earliest cycle a
+queued link frees up. Cycles in between, where every queued link is
+still serializing, need no visit; `skip(n)` credits them.
 
 A contention cycle for a link is a cycle in which its buffers hold at
-least one critical and one non-critical message simultaneously.
+least one critical and one non-critical message simultaneously. `step`
+samples it before arbitrating; `skip` credits each skipped cycle to every
+link that held both lanes at the end of the last `step`, since nothing
+enqueues or dequeues in a skipped cycle.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 # Message classes.
 REQUEST, FORWARD, RESPONSE = 0, 1, 2
-CLASS_NAMES = ("Request", "Forward", "Response")
 
-N_VNETS = 6
+# `wake` when nothing in the network is scheduled.
+NEVER = 1 << 62
 
 
 def vnet_of(msg_class, crit):
@@ -45,15 +65,15 @@ def serialization_cycles(size_bytes, bandwidth):
 class Message:
     """One protocol message in flight.
 
-    `mtype` is a camsim.coherence message-type constant; `cls` its class.
-    `value`/`acks`/`excl`/`requester` are protocol payload. `txn`
-    identifies the transaction for audit logging.
+    `mtype` is a camsim.coherence message-type constant; `cls` its class;
+    `crit` a bool. `value`/`acks`/`excl`/`requester` are protocol payload.
+    `txn` identifies the transaction for audit logging.
     """
 
     __slots__ = (
         "mtype", "cls", "crit", "size", "src", "dst", "addr",
         "requester", "acks", "value", "excl", "txn",
-        "vnet", "seqno", "inject_cycle", "route", "hop", "stamp",
+        "inject_cycle", "route", "hop", "stamp",
     )
 
     def __init__(self, mtype, cls, crit, size, src, dst, addr,
@@ -70,12 +90,14 @@ class Message:
         self.value = value
         self.excl = excl
         self.txn = txn
-        self.vnet = cls + 3 if crit else cls
-        self.seqno = -1
         self.inject_cycle = -1
         self.route = None
         self.hop = 0
         self.stamp = 0
+
+    @property
+    def vnet(self):
+        return vnet_of(self.cls, self.crit)
 
     def __deepcopy__(self, memo):
         # every slot holds an int, bool, None or a tuple of those
@@ -92,8 +114,6 @@ class Message:
         twin.value = self.value
         twin.excl = self.excl
         twin.txn = self.txn
-        twin.vnet = self.vnet
-        twin.seqno = self.seqno
         twin.inject_cycle = self.inject_cycle
         twin.route = self.route
         twin.hop = self.hop
@@ -101,8 +121,8 @@ class Message:
         return twin
 
     def __repr__(self):
-        return "Message(t%d %s->%s addr=%#x vnet=%d seq=%d)" % (
-            self.mtype, self.src, self.dst, self.addr, self.vnet, self.seqno)
+        return "Message(t%d %s->%s addr=%#x vnet=%d)" % (
+            self.mtype, self.src, self.dst, self.addr, self.vnet)
 
 
 class Network:
@@ -120,136 +140,154 @@ class Network:
 
         n = topo.n_links
         self.n_links = n
-        self.bufs = [tuple(deque() for _ in range(N_VNETS)) for _ in range(n)]
-        self.lo_cnt = [0] * n          # queued messages on vnets 0-2
-        self.hi_cnt = [0] * n          # queued messages on vnets 3-5
+        self.bufs = [(deque(), deque()) for _ in range(n)]   # (lo, hi) lanes
         self.busy_until = [0] * n
         self.busy_cycles = [0] * n
         self.contention_cycles = [0] * n
         self.transmitted = [0] * n
-        self._stamp = [0] * n          # per-link arrival counter
+        self._stamp = 0                # arrival counter, shared by all links
+        self._ser = {}                 # size -> serialization cycles
 
         # Links with queued messages, insertion-ordered for determinism.
         self.active = {}
-        # arrival cycle -> [messages completing a hop that cycle]
-        self._arrivals = {}
+        # landing cycle -> [messages landing then, in arbitration order]
+        self._landings = {}
+        self._land_at = []             # heap of the keys of _landings
+        self._contended = []           # links holding both lanes after step
+        self.wake = NEVER
 
-        self.next_seqno = 0
         self.injected = 0
         self.delivered = 0
 
-        # Precomputed routes as tuples of dense link indices.
+        # Precomputed routes as tuples of dense link indices, at src*n+dst.
         links = topo.links
-        self.routes = {}
-        nodes = range(topo.n_endpoints)
-        for s in nodes:
-            for d in nodes:
+        self._n_nodes = ne = topo.n_endpoints
+        self.routes = [None] * (ne * ne)
+        for s in range(ne):
+            for d in range(ne):
                 if s != d:
-                    self.routes[(s, d)] = tuple(links[l] for l in topo.route(s, d))
+                    self.routes[s * ne + d] = tuple(
+                        links[l] for l in topo.route(s, d))
 
     # -- injection ---------------------------------------------------------
 
     def inject(self, msg, cycle):
-        """Assign the next seqno and queue msg on the first link of its route."""
-        if msg.src == msg.dst:
-            raise ValueError("inject with src == dst (%d)" % msg.src)
-        msg.seqno = self.next_seqno
-        self.next_seqno += 1
+        """Queue msg on the first link of its route."""
+        src, dst = msg.src, msg.dst
+        if src == dst:
+            raise ValueError("inject with src == dst (%d)" % src)
         msg.inject_cycle = cycle
-        msg.route = self.routes[(msg.src, msg.dst)]
+        route = msg.route = self.routes[src * self._n_nodes + dst]
         msg.hop = 0
         self.injected += 1
-        self._enqueue(msg.route[0], msg)
-
-    def _enqueue(self, li, msg):
-        self._stamp[li] += 1
-        msg.stamp = self._stamp[li]
-        self.bufs[li][msg.vnet].append(msg)
-        if msg.vnet < 3:
-            self.lo_cnt[li] += 1
-        else:
-            self.hi_cnt[li] += 1
+        li = route[0]
+        self._stamp = msg.stamp = self._stamp + 1
+        self.bufs[li][msg.crit].append(msg)
         self.active[li] = True
 
-    # -- per-cycle operations ----------------------------------------------
+    # -- hop events ----------------------------------------------------------
+
+    def land(self, cycle):
+        """Complete the hops landing at `cycle`; returns the arrived messages.
+
+        Runs at the start of the cycle, before any other work. Messages with
+        hops left join their next link's lane and compete in this cycle's
+        `step`.
+        """
+        msgs = self._landings.pop(cycle, None)
+        if msgs is None:
+            return ()
+        land_at = self._land_at
+        heapq.heappop(land_at)
+        self.wake = land_at[0] if land_at else NEVER
+        arrived = []
+        bufs = self.bufs
+        active = self.active
+        stamp = self._stamp
+        for msg in msgs:
+            route = msg.route
+            hop = msg.hop + 1
+            if hop == len(route):
+                arrived.append(msg)
+            else:
+                msg.hop = hop
+                li = route[hop]
+                stamp += 1
+                msg.stamp = stamp
+                bufs[li][msg.crit].append(msg)
+                active[li] = True
+        self._stamp = stamp
+        self.delivered += len(arrived)
+        return arrived
 
     def step(self, cycle):
-        """Arbitrate all queued links, then complete hops due this cycle.
+        """Sample contention on every queued link, then arbitrate free ones.
 
-        Each queued link first counts a contention cycle if its buffers
-        hold both critical and non-critical traffic, then arbitrates.
-        Returns the list of messages delivered to their destination
-        endpoint this cycle. Messages finishing an intermediate hop are
-        requeued and become arbitration candidates next cycle.
+        A link counts a contention cycle if its lanes hold both critical
+        and non-critical traffic. Each winner occupies its link for its
+        serialization time and is scheduled to land `hop_latency` cycles
+        after. Leaves `wake` at the next landing or link release.
         """
-        if self.active:
-            busy_until = self.busy_until
-            lo, hi = self.lo_cnt, self.hi_cnt
-            bufs = self.bufs
-            cam = self.cam_enabled
-            bw = self.bandwidth
-            hl1 = self.hop_latency - 1
-            arrivals_map = self._arrivals
-            busy_cycles = self.busy_cycles
-            contention = self.contention_cycles
-            drained = []
-            for li in self.active:
-                if lo[li] and hi[li]:
-                    contention[li] += 1
-                if busy_until[li] <= cycle:
-                    lanes = bufs[li]
-                    if cam and hi[li]:
-                        best = None
-                        for v in (3, 4, 5):
-                            q = lanes[v]
-                            if q and (best is None or q[0].stamp < best.stamp):
-                                best = q[0]
-                    else:
-                        best = None
-                        for q in lanes:
-                            if q and (best is None or q[0].stamp < best.stamp):
-                                best = q[0]
-                    if best is not None:
-                        lanes[best.vnet].popleft()
-                        if best.vnet < 3:
-                            lo[li] -= 1
-                        else:
-                            hi[li] -= 1
-                        ser = serialization_cycles(best.size, bw)
-                        busy_until[li] = cycle + ser
-                        busy_cycles[li] += ser
-                        arrive = cycle + ser + hl1
-                        got = arrivals_map.get(arrive)
-                        if got is None:
-                            arrivals_map[arrive] = [best]
-                        else:
-                            got.append(best)
-                if not (lo[li] or hi[li]):
-                    drained.append(li)
-            for li in drained:
-                del self.active[li]
-
-        arrivals = self._arrivals.pop(cycle, None)
-        if not arrivals:
-            return ()
-        deliveries = []
+        busy_until = self.busy_until
+        bufs = self.bufs
+        cam = self.cam_enabled
+        contention = self.contention_cycles
+        busy_cycles = self.busy_cycles
         transmitted = self.transmitted
-        for msg in arrivals:
-            li = msg.route[msg.hop]
-            transmitted[li] += 1
-            if msg.hop == len(msg.route) - 1:
-                self.delivered += 1
-                deliveries.append(msg)
-            else:
-                msg.hop += 1
-                self._enqueue(msg.route[msg.hop], msg)
-        return deliveries
+        landings = self._landings
+        land_at = self._land_at
+        sers = self._ser
+        hl = self.hop_latency
+        contended = []
+        drained = []
+        wake = NEVER
+        for li in self.active:
+            lo, hi = bufs[li]
+            if lo and hi:
+                contention[li] += 1
+            free = busy_until[li]
+            if free <= cycle:
+                if hi and (cam or not lo or hi[0].stamp < lo[0].stamp):
+                    msg = hi.popleft()
+                else:
+                    msg = lo.popleft()
+                size = msg.size
+                ser = sers.get(size)
+                if ser is None:
+                    ser = sers[size] = serialization_cycles(size,
+                                                            self.bandwidth)
+                free = busy_until[li] = cycle + ser
+                busy_cycles[li] += ser
+                transmitted[li] += 1
+                at = free + hl
+                got = landings.get(at)
+                if got is None:
+                    landings[at] = [msg]
+                    heapq.heappush(land_at, at)
+                else:
+                    got.append(msg)
+                if not (lo or hi):
+                    drained.append(li)
+                    continue
+            if lo and hi:
+                contended.append(li)
+            if free < wake:
+                wake = free
+        for li in drained:
+            del self.active[li]
+        self._contended = contended
+        if land_at and land_at[0] < wake:
+            wake = land_at[0]
+        self.wake = wake
 
-    def next_arrival(self):
-        return min(self._arrivals) if self._arrivals else None
+    def skip(self, n):
+        """Credit `n` skipped all-busy cycles of contention."""
+        contention = self.contention_cycles
+        for li in self._contended:
+            contention[li] += n
 
     def idle(self):
-        return not self.active and not self._arrivals
+        return not self.active and not self._landings
 
     # -- reporting -----------------------------------------------------------
 

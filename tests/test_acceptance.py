@@ -20,7 +20,7 @@ from camsim.harness import (
     run_sweep,
 )
 from camsim.modelcheck import run_check
-from camsim.topology import TOPOLOGY_KINDS, build_topology
+from camsim.topology import build_topology
 
 
 TOPOS = ("crossbar", "torus2d", "hypercube")

@@ -1,6 +1,5 @@
 """End-to-end simulation behavior, stats, sweeps and CSV emission."""
 
-import os
 from dataclasses import replace
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from camsim.coherence import ST_M, _Block
 from camsim.harness import (
     Config,
-    RunStats,
     SimulationError,
     Simulator,
     SweepRow,
@@ -16,7 +14,6 @@ from camsim.harness import (
     compute_speedup,
     config_id_of,
     emit_csv,
-    format_csv,
     paper_preset,
     ratio_of,
     run_simulation,
@@ -132,6 +129,28 @@ def test_watchdog_fires_at_every_boundary_crossed():
     boundaries = [c >> 16 for c in calls]
     assert boundaries == list(range(len(calls)))
     assert len(calls) >= st.total_cycles >> 16
+
+
+def test_event_in_the_past_fails_fast():
+    # an event scheduled before the current cycle is never reached: the
+    # run must raise at the cycle it was pushed, not spin to the budget
+    sim = Simulator(small_cfg())
+    step_core = sim._step_core
+    pushed = []
+
+    def step_core_then_push_stale(tid, response):
+        step_core(tid, response)
+        if not pushed and sim.cycle > 100:
+            pushed.append(sim.cycle)
+            sim._push(sim.cycle - 1, 0, 0, tid, None)   # a core resume
+
+    sim._step_core = step_core_then_push_stale
+    with pytest.raises(SimulationError) as err:
+        sim.run()
+    assert str(err.value) == (
+        "core event scheduled for cycle %d, before the current cycle %d"
+        % (pushed[0] - 1, pushed[0]))
+    assert sim.cycle == pushed[0]
 
 
 def test_swmr_violation_raises():

@@ -3,7 +3,7 @@ request-count monotonicity and traffic conservation."""
 
 from collections import defaultdict
 
-from camsim.coherence import CLASS_OF, GETS, GETX, MSG_NAMES, PUTX, UNBLOCK
+from camsim.coherence import GETS, GETX, PUTX
 from camsim.harness import Config, Simulator, run_simulation
 
 

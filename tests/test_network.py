@@ -1,5 +1,7 @@
 """Virtual networks, serialization arithmetic and link arbitration."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,17 +57,52 @@ def crossbar_net(cam=False, bandwidth=125):
     return topo, Network(topo, bandwidth, cam_enabled=cam)
 
 
+def first_link(topo):
+    # crossbar routes 0 -> 5 and 0 -> 6 share their first link, 0 -> router
+    return topo.links[topo.next_hop(0, 5)]
+
+
+def cycle(net, cyc):
+    """One simulator cycle of the network alone: land hops, then arbitrate."""
+    arrived = list(net.land(cyc))
+    if net.active:
+        net.step(cyc)
+    return arrived
+
+
+def drive(net, cyc=0, skip=True):
+    """Run the network to idle as Simulator._loop does; {cycle: arrivals}.
+
+    With `skip`, cycles where every queued link is serializing are jumped
+    over and credited through `skip`; without, every cycle is stepped.
+    """
+    got = {}
+    while True:
+        arrived = cycle(net, cyc)
+        if arrived:
+            got[cyc] = arrived
+        if net.idle():
+            return got
+        nxt = net.wake if skip else cyc + 1
+        if net.active and nxt > cyc + 1:
+            net.skip(nxt - cyc - 1)
+        cyc = nxt
+
+
 def test_inject_routes_and_vnet():
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
     net.inject(m, 0)
-    li = topo.links[topo.next_hop(0, 5)]
-    assert net.bufs[li][0][0] is m
-    mc = mk_msg(crit=True, size=72, src=0, dst=5)
-    mc.vnet = 5
-    mc.cls = RESPONSE
+    li = first_link(topo)
+    assert m.route == tuple(topo.links[l] for l in topo.route(0, 5))
+    assert m.vnet == 0
+    assert net.bufs[li][0][0] is m                 # non-critical lane
+    mc = mk_msg(DATA_DIR, crit=True, size=72, src=0, dst=5)
+    assert mc.vnet == vnet_of(RESPONSE, True) == 5
+    with pytest.raises(AttributeError):
+        mc.vnet = 2                                # derived from cls, crit
     net.inject(mc, 0)
-    assert net.bufs[li][5][0] is mc
+    assert net.bufs[li][1][0] is mc                # critical lane
 
 
 def test_same_cycle_injections_keep_order():
@@ -73,26 +110,20 @@ def test_same_cycle_injections_keep_order():
     a, b = mk_msg(src=0, dst=5), mk_msg(src=0, dst=6)
     net.inject(a, 0)
     net.inject(b, 0)
-    assert a.seqno < b.seqno
-    li = topo.links[topo.next_hop(0, 5)]
+    assert a.stamp < b.stamp
+    li = first_link(topo)
     assert list(net.bufs[li][0]) == [a, b]
-
-
-def first_link(topo):
-    # crossbar routes 0 -> 5 and 0 -> 6 share their first link, 0 -> router
-    return topo.links[topo.next_hop(0, 5)]
 
 
 def test_priority_selects_critical_when_cam_on():
     topo, net = crossbar_net(cam=True)
     a = mk_msg(src=0, dst=5)                       # noncrit, queued first
     b = mk_msg(src=0, dst=6, crit=True)
-    b.vnet = 3
     net.inject(a, 0)
     net.inject(b, 0)
     li = first_link(topo)
-    net.step(0)
-    assert not net.bufs[li][3]                     # b won the link
+    cycle(net, 0)
+    assert not net.bufs[li][1]                     # b won the link
     assert list(net.bufs[li][0]) == [a]
 
 
@@ -100,25 +131,28 @@ def test_baseline_selects_oldest_regardless_of_vnet():
     topo, net = crossbar_net(cam=False)
     a = mk_msg(src=0, dst=5)
     b = mk_msg(src=0, dst=6, crit=True)
-    b.vnet = 3
     net.inject(a, 0)
     net.inject(b, 0)
     li = first_link(topo)
-    net.step(0)
+    cycle(net, 0)
     assert not net.bufs[li][0]                     # a won the link
-    assert list(net.bufs[li][3]) == [b]
+    assert list(net.bufs[li][1]) == [b]
 
 
 def test_arbitrate_empty_returns_none():
     topo, net = crossbar_net()
-    assert net.step(0) == ()
+    assert net.land(0) == ()
+    net.step(0)
     assert net.busy_until == [0] * net.n_links
+    assert net.idle()
     net.inject(mk_msg(src=0, dst=5), 1)
-    net.step(1)
+    cycle(net, 1)
     li = first_link(topo)
     # only the link that had a message queued was arbitrated
     assert [i for i in range(net.n_links) if net.busy_until[i]] == [li]
     assert net.busy_cycles[li] == sum(net.busy_cycles) == 1
+    assert net.transmitted[li] == sum(net.transmitted) == 1
+    assert net.wake == 3                           # lands after ser + hop
 
 
 def test_link_busy_during_serialization():
@@ -128,12 +162,13 @@ def test_link_busy_during_serialization():
     net.inject(big, 0)
     net.inject(small, 0)
     li = first_link(topo)
-    net.step(0)                                    # big wins
+    cycle(net, 0)                                  # big wins
     assert net.busy_until[li] == 6
+    assert net.wake == 6                           # nothing happens before
     for cyc in range(1, 6):                        # mid-serialization
-        net.step(cyc)
+        cycle(net, cyc)
         assert list(net.bufs[li][0]) == [small]
-    net.step(6)                                    # small wins
+    cycle(net, 6)                                  # small wins
     assert not net.bufs[li][0]
     assert net.busy_cycles[li] == 7
 
@@ -143,30 +178,77 @@ def test_contention_sample():
     topo, net = crossbar_net()
     li = first_link(topo)
     net.inject(mk_msg(src=0, dst=5), 0)
-    net.step(0)
+    cycle(net, 0)
     assert net.contention_cycles[li] == 0          # one side only
     b = mk_msg(src=0, dst=6, crit=True)
-    b.vnet = 3
     net.inject(mk_msg(src=0, dst=5), 1)
     net.inject(b, 1)
-    net.step(1)
+    cycle(net, 1)
     assert net.contention_cycles[li] == 1
-    net.step(2)                                    # only b is left queued
+    cycle(net, 2)                                  # only b is left queued
     assert net.contention_cycles[li] == 1
+
+
+def test_skipped_busy_cycles_accrue_contention():
+    # a 6-cycle data message serializes while both lanes hold a message:
+    # stepping cycle 0 and skipping 1-5 credits exactly 6 contention cycles
+    nets = []
+    for skip in (True, False):
+        topo, net = crossbar_net()
+        li = first_link(topo)
+        net.inject(mk_msg(size=72, src=0, dst=5), 0)
+        net.inject(mk_msg(src=0, dst=6), 0)
+        net.inject(mk_msg(src=0, dst=6, crit=True), 0)
+        cycle(net, 0)
+        assert net.wake == 6
+        if skip:
+            net.skip(5)
+        else:
+            for cyc in range(1, 6):
+                cycle(net, cyc)
+        assert net.contention_cycles[li] == 6 == net.busy_cycles[li]
+        drive(net, 6, skip)
+        nets.append(net)
+    assert nets[0].contention_cycles == nets[1].contention_cycles
+
+
+def test_skipping_matches_per_cycle_stepping():
+    # same traffic, driven with and without skipping: identical arrivals,
+    # contention, busy cycles and transmissions on every link
+    results = []
+    for skip in (True, False):
+        topo = build_topology("torus2d", 16)
+        net = Network(topo, 20, hop_latency=2, cam_enabled=True)
+        rng = random.Random(3)
+        rank = {}
+        for i in range(120):
+            src, dst = rng.sample(range(16), 2)
+            m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)),
+                       crit=rng.random() < 0.4)
+            rank[id(m)] = i
+            net.inject(m, 0)
+        got = drive(net, 0, skip)
+        results.append(({c: [rank[id(m)] for m in ms]
+                         for c, ms in got.items()},
+                        net.contention_cycles, net.busy_cycles,
+                        net.transmitted))
+    assert sum(results[0][1]) > 0
+    assert results[0] == results[1]
 
 
 def test_two_hop_delivery_timing():
-    # crossbar 0 -> 5: ser 1 + hop 1 per link; arbitration of hop 2
-    # happens the cycle after arrival.
+    # crossbar 0 -> 5: ser 1 + hop 1 per link; the hop that lands at
+    # cycle 2 competes at the second link in cycle 2, and the message is
+    # returned by land(4), the cycle the simulator processes it.
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
     net.inject(m, 0)
     delivered = {}
     for cyc in range(0, 10):
-        for msg in net.step(cyc):
+        for msg in cycle(net, cyc):
             delivered[cyc] = msg
-    assert delivered and list(delivered) == [3]
-    assert delivered[3] is m
+    assert list(delivered) == [4]
+    assert delivered[4] is m
     assert net.injected == net.delivered == 1
 
 
@@ -177,14 +259,13 @@ def test_messages_on_disjoint_links_progress_together():
     net.inject(b, 0)
     seen = []
     for cyc in range(0, 10):
-        seen.extend(net.step(cyc))
+        seen.extend(cycle(net, cyc))
     assert set(id(x) for x in seen) == {id(a), id(b)}
 
 
 def test_conservation_and_fifo_per_vnet():
     topo = build_topology("torus2d", 16)
     net = Network(topo, 125)
-    import random
     rng = random.Random(7)
     sent = []
     for i in range(200):
@@ -192,16 +273,13 @@ def test_conservation_and_fifo_per_vnet():
         m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)))
         net.inject(m, 0)
         sent.append(m)
-    got = []
-    cyc = 0
-    while not net.idle():
-        got.extend(net.step(cyc))
-        cyc += 1
+    got = [m for ms in drive(net).values() for m in ms]
     assert len(got) == len(sent)
-    # per (src,dst) flows stay in order (same route, same vnet)
+    # per (src,dst) flows stay in injection order (same route, same vnet)
+    rank = {id(m): i for i, m in enumerate(sent)}
     order = {}
     for m in got:
-        order.setdefault((m.src, m.dst), []).append(m.seqno)
+        order.setdefault((m.src, m.dst), []).append(rank[id(m)])
     for flow in order.values():
         assert flow == sorted(flow)
 
@@ -210,10 +288,8 @@ def test_utilization_bounded():
     topo, net = crossbar_net()
     for i in range(10):
         net.inject(mk_msg(size=72, src=0, dst=5), 0)
-    cyc = 0
-    while not net.idle():
-        net.step(cyc)
-        cyc += 1
-    net.finalize(cyc)
+    got = drive(net)
+    end = max(got)
+    net.finalize(end)
     for li in range(net.n_links):
-        assert 0 <= net.busy_cycles[li] <= cyc
+        assert 0 <= net.busy_cycles[li] <= end
