@@ -140,7 +140,8 @@ class Network:
 
         n = topo.n_links
         self.n_links = n
-        self.bufs = [(deque(), deque()) for _ in range(n)]   # (lo, hi) lanes
+        # (non-critical, critical) lanes, indexed by msg.crit
+        self.bufs = [(deque(), deque()) for _ in range(n)]
         self.busy_until = [0] * n
         self.busy_cycles = [0] * n
         self.contention_cycles = [0] * n

@@ -11,6 +11,8 @@ from camsim.harness import (
     Simulator,
     SweepRow,
     UsageError,
+    _EV_CORE,
+    _R_CORE,
     compute_speedup,
     config_id_of,
     emit_csv,
@@ -142,7 +144,7 @@ def test_event_in_the_past_fails_fast():
         step_core(tid, response)
         if not pushed and sim.cycle > 100:
             pushed.append(sim.cycle)
-            sim._push(sim.cycle - 1, 0, 0, tid, None)   # a core resume
+            sim._push(sim.cycle - 1, _R_CORE, _EV_CORE, tid, None)
 
     sim._step_core = step_core_then_push_stale
     with pytest.raises(SimulationError) as err:
