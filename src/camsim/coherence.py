@@ -12,6 +12,12 @@ invalidation acks, which releases the directory for the next queued
 request. A GETS against an idle (Invalid) directory entry is granted
 exclusive-clean, so a first reader lands in E.
 
+Directory entries are compact, because a run creates one for every block
+ever requested. Sharer sets are immutable frozensets (every empty one is
+`_NO_SHARERS`), so an unblock installs the Busy state's final sharers as
+they are and a checker clone shares them. The pending queue is created
+only when a request first has to wait.
+
 Criticality: every message of a transaction carries the crit bit of the
 core request that started it (forwards and invalidations inherit it when
 `crit_forwards` is set). Replacement writebacks are never critical.
@@ -580,24 +586,36 @@ class CacheController:
         return problems
 
 
+_NO_SHARERS = frozenset()
+
+
 class _DirEntry:
+    """One block's directory state.
+
+    `sharers` and the final sharers in `busy` are frozensets, never
+    mutated in place. `pending` is None until a request first queues.
+    """
+
     __slots__ = ("state", "owner", "sharers", "busy", "pending")
 
     def __init__(self):
         self.state = DIR_I
         self.owner = None
-        self.sharers = set()
+        self.sharers = _NO_SHARERS
         self.busy = None       # (requester, final_state, final_owner, final_sharers)
-        self.pending = deque()
+        self.pending = None    # deque of queued requests, made on first use
 
     def __deepcopy__(self, memo):
+        # sharers and busy are immutable all the way down, so they are
+        # shared; a drained queue is dropped rather than shared
         twin = _DirEntry.__new__(_DirEntry)
         twin.state = self.state
         twin.owner = self.owner
-        twin.sharers = set(self.sharers)
-        busy = self.busy
-        twin.busy = busy if busy is None else busy[:3] + (set(busy[3]),)
-        twin.pending = deque(m.__deepcopy__(memo) for m in self.pending)
+        twin.sharers = self.sharers
+        twin.busy = self.busy
+        pending = self.pending
+        twin.pending = (deque(m.__deepcopy__(memo) for m in pending)
+                        if pending else None)
         return twin
 
 
@@ -655,6 +673,8 @@ class DirectoryController:
             return self._on_unblock(e, msg)
         if mt in (GETS, GETX, PUTX):
             if e.state == DIR_BUSY or (e.pending and not from_queue):
+                if e.pending is None:
+                    e.pending = deque()
                 if from_queue:
                     e.pending.appendleft(msg)
                 else:
@@ -680,7 +700,7 @@ class DirectoryController:
             data = self.memory.get(addr, 0)
             reply = self._msg(DATA_DIR, req, addr, msg.crit, value=data,
                               acks=0, excl=True, txn=msg.txn)
-            e.busy = (req, DIR_E, req, set())
+            e.busy = (req, DIR_E, req, _NO_SHARERS)
             e.state = DIR_BUSY
             self._trace("gets", addr, old, DIR_BUSY, msg.crit)
             return [], [reply], True
@@ -739,7 +759,7 @@ class DirectoryController:
                                 "GETX mishandled")
         out.extend(self._msg(INV, s, addr, crit, requester=req, txn=msg.txn)
                    for s in invs)
-        e.busy = (req, DIR_E, req, set())
+        e.busy = (req, DIR_E, req, _NO_SHARERS)
         e.state = DIR_BUSY
         self._trace("getx", addr, old, DIR_BUSY, msg.crit)
         return [], out, used_mem
@@ -771,7 +791,7 @@ class DirectoryController:
         _, final_state, final_owner, final_sharers = e.busy
         e.state = final_state
         e.owner = final_owner
-        e.sharers = set(final_sharers)
+        e.sharers = final_sharers
         e.busy = None
         self._trace("unblock", addr, DIR_BUSY, final_state, msg.crit)
         return [("unblocked", addr)], [], False

@@ -232,7 +232,7 @@ class _System:
             (a, e.state, e.owner, tuple(sorted(e.sharers)),
              e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
                                             tuple(sorted(e.busy[3]))),
-             tuple(self._enc_msg(p) for p in e.pending))
+             tuple(self._enc_msg(p) for p in e.pending or ()))
             for a, e in self.dir.entries.items()))
         mem = tuple(sorted(self.dir.memory.items()))
         chans = tuple(sorted(

@@ -39,7 +39,6 @@ class Program:
     threads: list
     lock_addr: int
     counter_addrs: list
-    scratch_ranges: list              # per-thread (first block addr, n blocks)
     n_threads: int
     n_counters: int
     iters: int
@@ -83,30 +82,30 @@ def gen_microbenchmark(n_threads, n_counters, iters, noncrit_work,
             "address map needs %d blocks (%d bytes) but memory holds %d bytes"
             % (top_block, top_block * block_bytes, mem_bytes))
 
+    # The locked section is the same in every thread and iteration; its
+    # tuples are immutable, so one copy is shared by all of them.
+    section = [(LOCK, lock_addr), (CRIT_ENTER,)]
+    for c in counter_addrs:
+        section.append((LOAD, c))
+        section.append((STORE, c, INC))
+    section.append((CRIT_EXIT,))
+    section.append((UNLOCK, lock_addr))
+
     threads = []
-    scratch_ranges = []
     for t in range(n_threads):
-        base = scratch_first + t * per_thread_blocks
-        scratch_ranges.append((base * block_bytes, per_thread_blocks))
         seq = []
-        fresh = base
+        fresh = scratch_first + t * per_thread_blocks
         for _ in range(iters):
             for _ in range(noncrit_work):
                 a = fresh * block_bytes
                 fresh += 1
                 seq.append((LOAD, a))
                 seq.append((STORE, a, INC))
-            seq.append((LOCK, lock_addr))
-            seq.append((CRIT_ENTER,))
-            for c in counter_addrs:
-                seq.append((LOAD, c))
-                seq.append((STORE, c, INC))
-            seq.append((CRIT_EXIT,))
-            seq.append((UNLOCK, lock_addr))
+            seq.extend(section)
         threads.append(seq)
 
-    prog = Program(threads, lock_addr, counter_addrs, scratch_ranges,
-                   n_threads, n_counters, iters, noncrit_work, block_bytes)
+    prog = Program(threads, lock_addr, counter_addrs, n_threads, n_counters,
+                   iters, noncrit_work, block_bytes)
     validate_program(prog)
     return prog
 

@@ -237,7 +237,7 @@ def test_dir_shared_getx_invalidate_sharers():
     d = directory()
     e = d.entry(A)
     e.state = DIR_S
-    e.sharers = {2, 3}
+    e.sharers = frozenset({2, 3})
     ev, out, mem = d.handle(msg(GETX, 1, 0, requester=1))
     kinds = sorted(m.mtype for m in out)
     assert kinds == sorted([DATA_DIR, INV, INV])
@@ -271,7 +271,7 @@ def test_dir_owned_gets_forwards_to_owner():
     e = d.entry(A)
     e.state = DIR_O
     e.owner = 2
-    e.sharers = {3}
+    e.sharers = frozenset({3})
     ev, out, mem = d.handle(msg(GETS, 1, 0, requester=1))
     assert not mem                                  # cache-to-cache
     assert out[0].mtype == FWD_GETS and out[0].dst == 2

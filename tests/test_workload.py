@@ -67,11 +67,18 @@ def test_address_map_disjoint():
         b = a // 64
         assert b not in blocks
         blocks.add(b)
-    for base, count in prog.scratch_ranges:
-        for k in range(count):
-            b = base // 64 + k
-            assert b not in blocks
-            blocks.add(b)
+    for seq in prog.threads:
+        # scratch: every block the thread touches outside LOCK .. UNLOCK
+        scratch = set()
+        held = False
+        for ins in seq:
+            if ins[0] in (LOCK, UNLOCK):
+                held = ins[0] == LOCK
+            elif ins[0] in (LOAD, STORE) and not held:
+                scratch.add(ins[1] // 64)
+        assert len(scratch) == 2 * 5              # iters x noncrit_work
+        assert not scratch & blocks
+        blocks |= scratch
 
 
 def test_scratch_blocks_fresh_per_pair():
