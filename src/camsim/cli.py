@@ -16,6 +16,7 @@ from .harness import (
     Config,
     SWEEP_PRESETS,
     SweepRow,
+    UsageError,
     config_id_of,
     emit_csv,
     format_csv,
@@ -23,7 +24,7 @@ from .harness import (
     run_sweep,
 )
 from .topology import ConfigError, TOPOLOGY_KINDS
-from .workload import gen_microbenchmark
+from .workload import WorkloadError, gen_microbenchmark
 
 _BOOLS = {"on": True, "true": True, "1": True, "yes": True,
           "off": False, "false": False, "0": False, "no": False}
@@ -118,19 +119,24 @@ def main(argv=None):
         print("camsim: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.dump_program:
-        prog = gen_microbenchmark(cfg.n_threads(), cfg.counters, cfg.iters,
-                                  cfg.noncrit_work, cfg.block_bytes,
-                                  cfg.mem_bytes())
-        prog.dump(sys.stdout)
-        return 0
-
-    if args.sweep:
-        deltas = SWEEP_PRESETS[args.sweep]()
-        rows = run_sweep(deltas, base=cfg, parallel=args.jobs)
-    else:
-        stats = run_simulation(cfg)
-        rows = [SweepRow(config_id_of(cfg), stats)]
+    # a config validate() accepts can still fail to build its program
+    # (address map) or to form a sweep (shared id or trace file)
+    try:
+        if args.dump_program:
+            prog = gen_microbenchmark(cfg.n_threads(), cfg.counters,
+                                      cfg.iters, cfg.noncrit_work,
+                                      cfg.block_bytes, cfg.mem_bytes())
+            prog.dump(sys.stdout)
+            return 0
+        if args.sweep:
+            deltas = SWEEP_PRESETS[args.sweep]()
+            rows = run_sweep(deltas, base=cfg, parallel=args.jobs)
+        else:
+            stats = run_simulation(cfg)
+            rows = [SweepRow(config_id_of(cfg), stats)]
+    except (ConfigError, WorkloadError, UsageError) as exc:
+        print("camsim: %s" % exc, file=sys.stderr)
+        return 2
 
     if args.out:
         emit_csv(rows, args.out)

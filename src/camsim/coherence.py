@@ -19,8 +19,8 @@ they are and a checker clone shares them. The pending queue is created
 only when a request first has to wait.
 
 Criticality: every message of a transaction carries the crit bit of the
-core request that started it (forwards and invalidations inherit it when
-`crit_forwards` is set). Replacement writebacks are never critical.
+core request that started it; forwards and invalidations always inherit
+it. Replacement writebacks are never critical.
 
 `check_swmr` is the one single-writer/multiple-reader check: the timed
 simulator runs it whenever a directory transaction closes or a writeback
@@ -208,8 +208,7 @@ class CacheController:
     (or upgrades) start network transactions.
     """
 
-    def __init__(self, node, l1_geom, l2_geom, n_nodes,
-                 crit_forwards=True, trace=None):
+    def __init__(self, node, l1_geom, l2_geom, n_nodes, trace=None):
         self.node = node
         self.n_nodes = n_nodes
         self.l1 = CacheArray(l1_geom)
@@ -217,7 +216,6 @@ class CacheController:
         self.blocks = {}     # resident block addr -> _Block
         self.wb = {}         # evicted-but-unacked addr -> _Block (MI/OI/II)
         self.txns = {}       # addr -> _Txn
-        self.crit_forwards = crit_forwards
         self.trace = trace
         self._txn_serial = 0
         self._block_bytes = l2_geom.block_bytes
@@ -232,7 +230,6 @@ class CacheController:
         twin.blocks = {a: b.__deepcopy__(memo) for a, b in self.blocks.items()}
         twin.wb = {a: b.__deepcopy__(memo) for a, b in self.wb.items()}
         twin.txns = {a: t.__deepcopy__(memo) for a, t in self.txns.items()}
-        twin.crit_forwards = self.crit_forwards
         twin.trace = self.trace
         twin._txn_serial = self._txn_serial
         twin._block_bytes = self._block_bytes
@@ -280,8 +277,8 @@ class CacheController:
                 self.l2.lookup(addr)
                 return ("l1", blk.data), []
             self.l2.lookup(addr)
-            msgs = self._fill_l1(addr)
-            return ("l2", blk.data), msgs
+            self._fill_l1(addr)
+            return ("l2", blk.data), []
         return ("miss", None), self._begin(addr, "gets", crit)
 
     def store(self, addr, crit, value):
@@ -297,7 +294,8 @@ class CacheController:
                 self.l2.lookup(addr)
                 return ("l1", None), []
             self.l2.lookup(addr)
-            return ("l2", None), self._fill_l1(addr)
+            self._fill_l1(addr)
+            return ("l2", None), []
         return ("miss", None), self._begin(addr, "getx", crit,
                                             store_value=value)
 
@@ -314,8 +312,9 @@ class CacheController:
                 blk.data = 1
             tier = "l1" if self.l1.lookup(addr) else "l2"
             self.l2.lookup(addr)
-            msgs = [] if tier == "l1" else self._fill_l1(addr)
-            return (tier, old), msgs
+            if tier == "l2":
+                self._fill_l1(addr)
+            return (tier, old), []
         return ("miss", None), self._begin(addr, "getx", crit, rmw=True)
 
     def _begin(self, addr, kind, crit, store_value=None, rmw=False):
@@ -383,7 +382,6 @@ class CacheController:
     def _fill_l1(self, addr):
         if not self.l1.contains(addr):
             self.l1.install(addr)  # L1 victims drop silently (L2 keeps data)
-        return []
 
     def _install_l2(self, addr):
         """Make addr L2-resident; may force a victim writeback."""
@@ -421,12 +419,9 @@ class CacheController:
                             STATE_NAMES[self.state_of(msg.addr)],
                             "cache got %s" % MSG_NAMES[mt])
 
-    def _fwd_crit(self, msg):
-        return msg.crit if self.crit_forwards else False
-
     def _on_fwd_gets(self, msg):
         addr = msg.addr
-        crit = self._fwd_crit(msg)
+        crit = msg.crit
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in (ST_M, ST_E, ST_O, ST_OM):
             # An OM owner still holds the valid copy: serve the reader and
@@ -449,7 +444,7 @@ class CacheController:
 
     def _on_fwd_getx(self, msg):
         addr = msg.addr
-        crit = self._fwd_crit(msg)
+        crit = msg.crit
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in (ST_M, ST_E, ST_O, ST_OM):
             old = blk.state
@@ -481,7 +476,7 @@ class CacheController:
 
     def _on_inv(self, msg):
         addr = msg.addr
-        crit = self._fwd_crit(msg)
+        crit = msg.crit
         blk = self.blocks.get(addr)
         state = blk.state if blk is not None else ST_I
         events = []
@@ -568,23 +563,6 @@ class CacheController:
                               requester=self.node, txn=txn.txn_id))
         return events, msgs
 
-    # -- audits ---------------------------------------------------------------
-
-    def audit_inclusion(self):
-        """Every L1-resident block must be L2-resident in a valid state."""
-        problems = []
-        for addr in self.l1.resident_blocks():
-            blk = self.blocks.get(addr)
-            if blk is None or blk.state not in READABLE:
-                problems.append("node %d: L1 holds %#x without L2 permission"
-                                % (self.node, addr))
-            if not self.l2.contains(addr):
-                problems.append("node %d: L1 holds %#x not in L2"
-                                % (self.node, addr))
-        problems.extend("node %d l1: %s" % (self.node, p) for p in self.l1.audit())
-        problems.extend("node %d l2: %s" % (self.node, p) for p in self.l2.audit())
-        return problems
-
 
 _NO_SHARERS = frozenset()
 
@@ -622,12 +600,11 @@ class _DirEntry:
 class DirectoryController:
     """Home-node directory slice with a blocking per-block transaction queue."""
 
-    def __init__(self, node, n_nodes, crit_forwards=True, trace=None):
+    def __init__(self, node, n_nodes, trace=None):
         self.node = node
         self.n_nodes = n_nodes
         self.memory = {}  # block addr -> data token (sparse, default 0)
         self.entries = {}
-        self.crit_forwards = crit_forwards
         self.trace = trace
 
     def __deepcopy__(self, memo):
@@ -638,7 +615,6 @@ class DirectoryController:
         twin.memory = dict(self.memory)
         twin.entries = {a: e.__deepcopy__(memo)
                         for a, e in self.entries.items()}
-        twin.crit_forwards = self.crit_forwards
         twin.trace = self.trace
         return twin
 
@@ -690,9 +666,6 @@ class DirectoryController:
         raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
                             "directory got %s" % MSG_NAMES[mt])
 
-    def _fwd_crit(self, msg):
-        return msg.crit if self.crit_forwards else False
-
     def _on_gets(self, e, msg):
         addr, req = msg.addr, msg.requester
         old = e.state
@@ -713,8 +686,7 @@ class DirectoryController:
             self._trace("gets", addr, old, DIR_BUSY, msg.crit)
             return [], [reply], True
         if old in (DIR_E, DIR_O):
-            crit = self._fwd_crit(msg)
-            fwd = self._msg(FWD_GETS, e.owner, addr, crit, requester=req,
+            fwd = self._msg(FWD_GETS, e.owner, addr, msg.crit, requester=req,
                             txn=msg.txn)
             e.busy = (req, DIR_O, e.owner, e.sharers | {req})
             e.state = DIR_BUSY
@@ -725,7 +697,6 @@ class DirectoryController:
     def _on_getx(self, e, msg):
         addr, req = msg.addr, msg.requester
         old = e.state
-        crit = self._fwd_crit(msg)
         # Invalidations go out in ring order starting after the requester.
         # Together with paced fan-out (see the harness) this wakes
         # contending spinners round-robin; a fixed node-index order would
@@ -751,13 +722,14 @@ class DirectoryController:
                                      value=None, acks=len(invs), excl=True,
                                      txn=msg.txn))
             else:
-                out.append(self._msg(FWD_GETX, e.owner, addr, crit,
+                out.append(self._msg(FWD_GETX, e.owner, addr, msg.crit,
                                      requester=req, acks=len(invs),
                                      txn=msg.txn))
         else:
             raise ProtocolError(self.node, addr, DIR_NAMES[old],
                                 "GETX mishandled")
-        out.extend(self._msg(INV, s, addr, crit, requester=req, txn=msg.txn)
+        out.extend(self._msg(INV, s, addr, msg.crit, requester=req,
+                             txn=msg.txn)
                    for s in invs)
         e.busy = (req, DIR_E, req, _NO_SHARERS)
         e.state = DIR_BUSY

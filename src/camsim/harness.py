@@ -83,7 +83,6 @@ class Config:
     cycle_budget: int = 500_000_000
     jitter: int = 0
     crit_tagging: bool = True
-    crit_forwards: bool = True
     trace_file: str | None = None
 
     def n_threads(self):
@@ -196,11 +195,9 @@ class Simulator:
             cfg.n_threads(), cfg.counters, cfg.iters, cfg.noncrit_work,
             cfg.block_bytes, cfg.mem_bytes())
         l1g, l2g = cfg.l1_geometry(), cfg.l2_geometry()
-        self.caches = [CacheController(n, l1g, l2g, cfg.procs,
-                                       crit_forwards=cfg.crit_forwards)
+        self.caches = [CacheController(n, l1g, l2g, cfg.procs)
                        for n in range(cfg.procs)]
-        self.dirs = [DirectoryController(n, cfg.procs,
-                                         crit_forwards=cfg.crit_forwards)
+        self.dirs = [DirectoryController(n, cfg.procs)
                      for n in range(cfg.procs)]
         self.cores = [CoreState(t, self.program.threads[t])
                       for t in range(cfg.n_threads())]
@@ -339,8 +336,6 @@ class Simulator:
             # miss: request leaves after the L1+L2 lookups
             self._send(msgs, cycle + cfg.lat_l1 + cfg.lat_l2)
             return
-        if msgs:
-            self._send(msgs, done_at)
         if op == "spin" and val != 0:
             self.parked.add((tid, addr))     # wait for invalidation
         else:
@@ -437,7 +432,15 @@ class Simulator:
                 self._trace_out.close()
         self.cycle = cycle
         self.net.finalize(cycle)
-        return self._stats(cycle)
+        stats = self._stats(cycle)
+        # every thread increments every counter once per iteration
+        want = self.cfg.n_threads() * self.cfg.iters
+        for addr, val in zip(self.program.counter_addrs, stats.final_counters):
+            if val != want:
+                raise SimulationError(
+                    "wrong answer: counter %#x ended at %r, expected %d"
+                    % (addr, val, want))
+        return stats
 
     def _loop(self):
         """Drive events and the network to completion; returns the end cycle."""
@@ -629,14 +632,24 @@ def run_sweep(deltas, base=None, parallel=None):
     `deltas` is a list of dicts of Config field overrides. The CAM flag is
     controlled by the sweep itself: each delta produces a cam=off and a
     cam=on run. Runs execute in parallel processes when `parallel` > 1.
+    Raises UsageError before any run if two runs would share a config id
+    (rows are keyed by it) or a trace file.
     """
     base = base or Config()
     cfgs = []
+    ids = set()
     for delta in deltas:
         for cam in (False, True):
             cfg = replace(base, **delta)
             cfg.cam = cam
             cfg.validate()
+            if cfg.trace_file:
+                raise UsageError("a sweep cannot write trace file %r: trace "
+                                 "a single run instead" % cfg.trace_file)
+            cid = config_id_of(cfg)
+            if cid in ids:
+                raise UsageError("two sweep runs share config id %r" % cid)
+            ids.add(cid)
             cfgs.append(cfg)
     if parallel is None:
         parallel = min(8, os.cpu_count() or 1)

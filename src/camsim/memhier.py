@@ -112,18 +112,3 @@ class CacheArray:
             ways.remove(tag)
             return True
         return False
-
-    def resident_blocks(self):
-        for idx, ways in self.sets.items():
-            for tag in ways:
-                yield self.block_addr(tag, idx)
-
-    def audit(self):
-        """Check set occupancy and tag uniqueness; returns problem strings."""
-        problems = []
-        for idx, ways in self.sets.items():
-            if len(ways) > self.geometry.associativity:
-                problems.append("set %d over-occupied: %d ways" % (idx, len(ways)))
-            if len(set(ways)) != len(ways):
-                problems.append("set %d holds duplicate tags" % idx)
-        return problems

@@ -31,7 +31,8 @@ INC = "inc"              # store value = last loaded value + 1
 
 
 class WorkloadError(ValueError):
-    """Program fails validation (nesting, address map)."""
+    """A program cannot be built (shape, address map) or misbehaves at run
+    time (crit-marker misuse, unknown opcode)."""
 
 
 @dataclass
@@ -39,11 +40,6 @@ class Program:
     threads: list
     lock_addr: int
     counter_addrs: list
-    n_threads: int
-    n_counters: int
-    iters: int
-    noncrit_work: int
-    block_bytes: int = 64
 
     def dump(self, out):
         """Line-oriented text form of every thread's instruction sequence."""
@@ -104,62 +100,7 @@ def gen_microbenchmark(n_threads, n_counters, iters, noncrit_work,
             seq.extend(section)
         threads.append(seq)
 
-    prog = Program(threads, lock_addr, counter_addrs, n_threads, n_counters,
-                   iters, noncrit_work, block_bytes)
-    validate_program(prog)
-    return prog
-
-
-def validate_program(prog):
-    """Check lock/crit nesting: LOCK .. CRIT_ENTER .. CRIT_EXIT .. UNLOCK."""
-    for tid, seq in enumerate(prog.threads):
-        held = False
-        crit = False
-        for i, ins in enumerate(seq):
-            op = ins[0]
-            if op == LOCK:
-                if held:
-                    raise WorkloadError("T%d@%d: LOCK while holding" % (tid, i))
-                held = True
-            elif op == UNLOCK:
-                if not held or crit:
-                    raise WorkloadError("T%d@%d: UNLOCK out of order" % (tid, i))
-                held = False
-            elif op == CRIT_ENTER:
-                if crit or not held:
-                    raise WorkloadError(
-                        "T%d@%d: CRIT_ENTER outside a held lock or nested"
-                        % (tid, i))
-                crit = True
-            elif op == CRIT_EXIT:
-                if not crit:
-                    raise WorkloadError("T%d@%d: CRIT_EXIT without enter"
-                                        % (tid, i))
-                crit = False
-        if held or crit:
-            raise WorkloadError("T%d: program ends inside lock/crit section"
-                                % tid)
-
-
-def sequential_oracle(prog):
-    """Execute the program's memory semantics with no timing model.
-
-    Threads run one after another, which is a legal serialization of any
-    mutex-protected schedule. Returns the final memory image (block
-    address -> value) for the shared blocks.
-    """
-    mem = {}
-    for seq in prog.threads:
-        last = 0
-        for ins in seq:
-            op = ins[0]
-            if op == LOAD:
-                last = mem.get(ins[1], 0)
-            elif op == STORE:
-                v = ins[2]
-                mem[ins[1]] = last + 1 if v == INC else v
-            # lock/unlock/markers have no memory effect in a serial run
-    return mem
+    return Program(threads, lock_addr, counter_addrs)
 
 
 @dataclass

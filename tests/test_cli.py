@@ -65,3 +65,21 @@ def test_out_file(tmp_path):
                "--noncrit-work", "2", "--out", str(dest)])
     assert rc == 0
     assert dest.read_text().startswith("config_id,")
+
+
+def test_sweep_with_trace_reported(tmp_path, capsys):
+    trace = tmp_path / "trace.log"
+    rc = main(["--sweep", "paper", "--trace", str(trace)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("camsim: a sweep cannot write")
+    assert not trace.exists()
+
+
+def test_program_too_large_reported(capsys):
+    args = ["--procs", "16", "--iters", "100", "--noncrit-work", "10000000"]
+    for extra in ([], ["--dump-program"]):
+        rc = main(args + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("camsim: address map needs")
+        assert captured.out == ""

@@ -335,12 +335,3 @@ def test_crit_propagates_through_directory():
     e.owner = 2
     ev, out, _ = d.handle(msg(GETS, 1, 0, requester=1, crit=True))
     assert out[0].mtype == FWD_GETS and out[0].crit
-
-
-def test_crit_forwards_can_be_disabled():
-    d = DirectoryController(0, 4, crit_forwards=False)
-    e = d.entry(A)
-    e.state = DIR_E
-    e.owner = 2
-    ev, out, _ = d.handle(msg(GETS, 1, 0, requester=1, crit=True))
-    assert out[0].mtype == FWD_GETS and not out[0].crit

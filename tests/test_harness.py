@@ -228,6 +228,39 @@ def test_sweep_records_errors_and_continues():
     assert len(errs) == 2 and len(ok) == 2
 
 
+def test_sweep_rejects_colliding_config_ids():
+    # the id omits the seed, so the second pair would replace the first
+    with pytest.raises(UsageError, match="crossbar.4p.c6.bw125.base"):
+        run_sweep([dict(SMALL, seed=1), dict(SMALL, seed=2)], parallel=1)
+
+
+def test_sweep_rejects_trace_file(tmp_path):
+    path = tmp_path / "trace.log"
+    with pytest.raises(UsageError, match="trace file"):
+        run_sweep([dict(SMALL)], base=Config(trace_file=str(path)),
+                  parallel=1)
+    assert not path.exists()
+
+
+def test_wrong_final_counter_raises(monkeypatch):
+    real = Simulator.final_counter_values
+
+    def off_by_one(self):
+        values = real(self)
+        values[1] -= 1
+        return values
+
+    monkeypatch.setattr(Simulator, "final_counter_values", off_by_one)
+    # counter 1 sits in block 2; 4 threads x 2 iters = 8
+    with pytest.raises(SimulationError,
+                       match="counter 0x80 ended at 7, expected 8"):
+        run_simulation(small_cfg())
+    rows = run_sweep([dict(SMALL)], parallel=1)
+    assert len(rows) == 2
+    for row in rows:
+        assert row.stats is None and "counter 0x80" in row.error
+
+
 def test_csv_format(tmp_path):
     base = run_simulation(small_cfg())
     cam = run_simulation(small_cfg(cam=True))

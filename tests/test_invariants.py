@@ -3,7 +3,7 @@ request-count monotonicity and traffic conservation."""
 
 from collections import defaultdict
 
-from camsim.coherence import GETS, GETX, PUTX
+from camsim.coherence import GETS, GETX, PUTX, READABLE
 from camsim.harness import Config, Simulator, run_simulation
 
 
@@ -92,7 +92,13 @@ def test_lock_mutual_exclusion_holds():
 
 
 def test_inclusion_audit_after_run():
+    # every L1-resident block is readable in `blocks` and resident in L2
     sim = Simulator(Config(**SMALL))
     sim.run()
     for cache in sim.caches:
-        assert cache.audit_inclusion() == []
+        for idx, ways in cache.l1.sets.items():
+            for tag in ways:
+                addr = cache.l1.block_addr(tag, idx)
+                blk = cache.blocks.get(addr)
+                assert blk is not None and blk.state in READABLE, hex(addr)
+                assert cache.l2.contains(addr), hex(addr)

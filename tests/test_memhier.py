@@ -99,6 +99,6 @@ def test_occupancy_never_exceeds_associativity():
         addr = i * 64
         if not c.contains(addr):
             c.install(addr)
-    assert c.audit() == []
     for ways in c.sets.values():
         assert len(ways) <= 2
+        assert len(set(ways)) == len(ways)
