@@ -1,9 +1,13 @@
 """MOESI blocking-directory protocol controllers.
 
-Both controllers are untimed state machines: `handle` consumes one
-delivered message and returns `(events, outgoing_messages)`. The timed
-simulator wraps calls with latencies; the exhaustive model checker drives
-the same code directly with arbitrary delivery orders.
+Both controllers are untimed state machines driven one delivered message
+at a time. `CacheController.handle` returns `(events, outgoing_messages)`,
+where an event is `("invalidated", addr)` (the block left this cache) or
+`("core_done", addr, result)` (the core's request finished).
+`DirectoryController.handle` returns `(outgoing_messages, used_memory,
+replay)`. The timed simulator wraps calls with latencies; the exhaustive
+model checker drives the same code directly with arbitrary delivery
+orders.
 
 Protocol shape: a per-block home directory serializes transactions with a
 Busy state and a strict-FIFO pending queue. Requesters close each
@@ -11,6 +15,13 @@ transaction with an explicit UNBLOCK once they hold data and all
 invalidation acks, which releases the directory for the next queued
 request. A GETS against an idle (Invalid) directory entry is granted
 exclusive-clean, so a first reader lands in E.
+
+The directory owns its pending queue: when an UNBLOCK, or a PUTX served
+from the queue, leaves the entry idle with requests still waiting, `handle`
+pops the queue head and returns it as `replay`. The driver hands it back
+with `from_queue=True`, at once (model checker) or after the directory
+latency (simulator); a replay that finds the entry Busy again goes back to
+the front of the queue.
 
 Directory entries are compact, because a run creates one for every block
 ever requested. Sharer sets are immutable frozensets (every empty one is
@@ -25,6 +36,7 @@ it. Replacement writebacks are never critical.
 `check_swmr` is the one single-writer/multiple-reader check: the timed
 simulator runs it whenever a directory transaction closes or a writeback
 reaches the directory, and the model checker at every quiescent state.
+`block_value` is the one reading of a block's authoritative value.
 """
 
 from __future__ import annotations
@@ -89,6 +101,23 @@ class ProtocolError(AssertionError):
 def home_node(addr, n_nodes, block_bytes=64):
     """Block-interleaved home: (addr >> log2(block)) mod n_nodes."""
     return (addr // block_bytes) % n_nodes
+
+
+def _msg(mtype, src, dst, addr, crit, requester=None, acks=0, value=None,
+         excl=False, txn=None):
+    # size placeholder; Simulator._send applies the configured bytes
+    return Message(mtype, CLASS_OF[mtype], crit, 0, src, dst, addr,
+                   requester, acks, value, excl, txn)
+
+
+def block_value(caches, memory, addr):
+    """Authoritative value of a block: the copy in an owner cache, else
+    the home directory's `memory`."""
+    for cache in caches:
+        blk = cache.blocks.get(addr)
+        if blk is not None and blk.state in OWNERSHIP:
+            return blk.data
+    return memory.get(addr, 0)
 
 
 # Transient states count as the stable state whose data-holding obligations
@@ -251,12 +280,6 @@ class CacheController:
             self.trace(self.node, event, addr, STATE_NAMES[old],
                        STATE_NAMES[new], crit)
 
-    def _msg(self, mtype, dst, addr, crit, requester=None, acks=0,
-             value=None, excl=False, txn=None):
-        # size placeholder; Simulator._send applies the configured bytes
-        return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst,
-                       addr, requester, acks, value, excl, txn)
-
     def _home(self, addr):
         return home_node(addr, self.n_nodes, self._block_bytes)
 
@@ -273,12 +296,7 @@ class CacheController:
             return ("wb_pending", None), []
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in READABLE:
-            if self.l1.lookup(addr):
-                self.l2.lookup(addr)
-                return ("l1", blk.data), []
-            self.l2.lookup(addr)
-            self._fill_l1(addr)
-            return ("l2", blk.data), []
+            return (self._hit(addr), blk.data), []
         return ("miss", None), self._begin(addr, "gets", crit)
 
     def store(self, addr, crit, value):
@@ -290,12 +308,7 @@ class CacheController:
                 self._trace("store_upgrade", addr, ST_E, ST_M, crit)
                 blk.state = ST_M
             blk.data = value
-            if self.l1.lookup(addr):
-                self.l2.lookup(addr)
-                return ("l1", None), []
-            self.l2.lookup(addr)
-            self._fill_l1(addr)
-            return ("l2", None), []
+            return (self._hit(addr), None), []
         return ("miss", None), self._begin(addr, "getx", crit,
                                             store_value=value)
 
@@ -310,12 +323,17 @@ class CacheController:
                 if blk.state == ST_E:
                     blk.state = ST_M
                 blk.data = 1
-            tier = "l1" if self.l1.lookup(addr) else "l2"
-            self.l2.lookup(addr)
-            if tier == "l2":
-                self._fill_l1(addr)
-            return (tier, old), []
+            return (self._hit(addr), old), []
         return ("miss", None), self._begin(addr, "getx", crit, rmw=True)
+
+    def _hit(self, addr):
+        """Touch a resident block's L1 and L2 LRU; returns the hit tier."""
+        if self.l1.lookup(addr):
+            self.l2.lookup(addr)
+            return "l1"
+        self.l2.lookup(addr)
+        self._fill_l1(addr)
+        return "l2"
 
     def _begin(self, addr, kind, crit, store_value=None, rmw=False):
         if addr in self.txns:
@@ -343,8 +361,8 @@ class CacheController:
                                store_value=store_value, rmw=rmw)
         self._trace("issue_" + kind, addr, old, new, crit)
         mtype = GETS if kind == "gets" else GETX
-        return [self._msg(mtype, self._home(addr), addr, crit,
-                          requester=self.node, txn=txn_id)]
+        return [_msg(mtype, self.node, self._home(addr), addr, crit,
+                     requester=self.node, txn=txn_id)]
 
     # -- replacement -----------------------------------------------------------
 
@@ -374,9 +392,9 @@ class CacheController:
         blk.state = new
         self.wb[addr] = blk
         self._trace("evict_putx", addr, old, new)
-        msg = self._msg(PUTX, self._home(addr), addr, False,
-                        requester=self.node, value=blk.data,
-                        txn=(self.node, addr, "wb"))
+        msg = _msg(PUTX, self.node, self._home(addr), addr, False,
+                   requester=self.node, value=blk.data,
+                   txn=(self.node, addr, "wb"))
         return events, [msg]
 
     def _fill_l1(self, addr):
@@ -429,15 +447,15 @@ class CacheController:
             old = blk.state
             blk.state = ST_OM if old == ST_OM else ST_O
             self._trace("fwd_gets", addr, old, blk.state, crit)
-            return [], [self._msg(DATA_OWNER, msg.requester, addr, crit,
-                                  value=blk.data, acks=0, txn=msg.txn)]
+            return [], [_msg(DATA_OWNER, self.node, msg.requester, addr,
+                             crit, value=blk.data, acks=0, txn=msg.txn)]
         blk = self.wb.get(addr)
         if blk is not None and blk.state in (ST_MI, ST_OI):
             old = blk.state
             blk.state = ST_OI
             self._trace("fwd_gets", addr, old, ST_OI, crit)
-            return [], [self._msg(DATA_OWNER, msg.requester, addr, crit,
-                                  value=blk.data, acks=0, txn=msg.txn)]
+            return [], [_msg(DATA_OWNER, self.node, msg.requester, addr,
+                             crit, value=blk.data, acks=0, txn=msg.txn)]
         raise ProtocolError(self.node, addr,
                             STATE_NAMES[self.state_of(addr)],
                             "Fwd_GETS but not owner")
@@ -459,16 +477,16 @@ class CacheController:
                 del self.blocks[addr]
             self._trace("fwd_getx", addr, old,
                         ST_IM if old == ST_OM else ST_I, crit)
-            reply = self._msg(DATA_OWNER, msg.requester, addr, crit,
-                              value=data, acks=msg.acks, txn=msg.txn)
+            reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
+                         value=data, acks=msg.acks, txn=msg.txn)
             return [("invalidated", addr)], [reply]
         blk = self.wb.get(addr)
         if blk is not None and blk.state in (ST_MI, ST_OI):
             old = blk.state
             blk.state = ST_II
             self._trace("fwd_getx", addr, old, ST_II, crit)
-            reply = self._msg(DATA_OWNER, msg.requester, addr, crit,
-                              value=blk.data, acks=msg.acks, txn=msg.txn)
+            reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
+                         value=blk.data, acks=msg.acks, txn=msg.txn)
             return [], [reply]
         raise ProtocolError(self.node, addr,
                             STATE_NAMES[self.state_of(addr)],
@@ -499,7 +517,7 @@ class CacheController:
         else:
             raise ProtocolError(self.node, addr, STATE_NAMES[state],
                                 "INV at an ownership state")
-        ack = self._msg(INV_ACK, msg.requester, addr, crit, txn=msg.txn)
+        ack = _msg(INV_ACK, self.node, msg.requester, addr, crit, txn=msg.txn)
         return events, [ack]
 
     def _on_data(self, msg):
@@ -531,8 +549,8 @@ class CacheController:
             raise ProtocolError(self.node, msg.addr,
                                 STATE_NAMES[self.state_of(msg.addr)],
                                 "WB_Ack with no writeback pending")
-        self._trace("wb_done", msg.addr, blk.state, ST_I)
-        return [("wb_done", msg.addr)], []
+        self._trace("wb_ack", msg.addr, blk.state, ST_I)
+        return [], []
 
     def _maybe_complete(self, addr):
         txn = self.txns[addr]
@@ -558,9 +576,9 @@ class CacheController:
                 blk.data = txn.store_value
         self._trace("complete_" + txn.kind, addr, old, blk.state, txn.crit)
         events, msgs = self._install_l2(addr)
-        events.append(("core_done", addr, txn.kind, result, txn.rmw))
-        msgs.append(self._msg(UNBLOCK, self._home(addr), addr, txn.crit,
-                              requester=self.node, txn=txn.txn_id))
+        events.append(("core_done", addr, result))
+        msgs.append(_msg(UNBLOCK, self.node, self._home(addr), addr,
+                         txn.crit, requester=self.node, txn=txn.txn_id))
         return events, msgs
 
 
@@ -630,23 +648,22 @@ class DirectoryController:
             self.trace(self.node, event, addr, DIR_NAMES[old], DIR_NAMES[new],
                        crit)
 
-    def _msg(self, mtype, dst, addr, crit, requester=None, acks=0,
-             value=None, excl=False, txn=None):
-        return Message(mtype, CLASS_OF[mtype], crit, 0, self.node, dst,
-                       addr, requester, acks, value, excl, txn)
-
     def handle(self, msg, from_queue=False):
-        """Returns (events, outgoing msgs, used_memory).
+        """Returns (outgoing msgs, used_memory, replay).
 
         `from_queue` marks a request replayed from the pending queue: it
         is the queue head, so a non-empty queue must not defer it again
-        (only a Busy entry re-parks it, at the front).
+        (only a Busy entry re-parks it, at the front). `replay` is the
+        popped queue head when an UNBLOCK, or a PUTX served from the
+        queue, leaves the entry idle with requests still waiting; else
+        None.
         """
         mt = msg.mtype
         addr = msg.addr
         e = self.entry(addr)
         if mt == UNBLOCK:
-            return self._on_unblock(e, msg)
+            self._on_unblock(e, msg)
+            return [], False, self._next(e)
         if mt in (GETS, GETX, PUTX):
             if e.state == DIR_BUSY or (e.pending and not from_queue):
                 if e.pending is None:
@@ -657,41 +674,50 @@ class DirectoryController:
                     e.pending.append(msg)
                 self._trace("queue_" + MSG_NAMES[mt], addr, e.state, e.state,
                             msg.crit)
-                return [("queued", addr)], [], False
+                return [], False, None
+            if mt == PUTX:
+                # the entry stays idle; the queue is non-empty only when
+                # this PUTX itself came from it
+                return self._on_putx(e, msg), False, self._next(e)
             if mt == GETS:
-                return self._on_gets(e, msg)
-            if mt == GETX:
-                return self._on_getx(e, msg)
-            return self._on_putx(e, msg)
+                out, used_mem = self._on_gets(e, msg)
+            else:
+                out, used_mem = self._on_getx(e, msg)
+            return out, used_mem, None      # the entry is Busy now
         raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
                             "directory got %s" % MSG_NAMES[mt])
+
+    @staticmethod
+    def _next(e):
+        """Pop the queue head of an idle entry, else None."""
+        return e.pending.popleft() if e.pending else None
 
     def _on_gets(self, e, msg):
         addr, req = msg.addr, msg.requester
         old = e.state
         if old == DIR_I:
             data = self.memory.get(addr, 0)
-            reply = self._msg(DATA_DIR, req, addr, msg.crit, value=data,
-                              acks=0, excl=True, txn=msg.txn)
+            reply = _msg(DATA_DIR, self.node, req, addr, msg.crit, value=data,
+                         acks=0, excl=True, txn=msg.txn)
             e.busy = (req, DIR_E, req, _NO_SHARERS)
             e.state = DIR_BUSY
             self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [], [reply], True
+            return [reply], True
         if old == DIR_S:
             data = self.memory.get(addr, 0)
-            reply = self._msg(DATA_DIR, req, addr, msg.crit, value=data,
-                              acks=0, excl=False, txn=msg.txn)
+            reply = _msg(DATA_DIR, self.node, req, addr, msg.crit, value=data,
+                         acks=0, excl=False, txn=msg.txn)
             e.busy = (req, DIR_S, None, e.sharers | {req})
             e.state = DIR_BUSY
             self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [], [reply], True
+            return [reply], True
         if old in (DIR_E, DIR_O):
-            fwd = self._msg(FWD_GETS, e.owner, addr, msg.crit, requester=req,
-                            txn=msg.txn)
+            fwd = _msg(FWD_GETS, self.node, e.owner, addr, msg.crit,
+                       requester=req, txn=msg.txn)
             e.busy = (req, DIR_O, e.owner, e.sharers | {req})
             e.state = DIR_BUSY
             self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [], [fwd], False
+            return [fwd], False
         raise ProtocolError(self.node, addr, DIR_NAMES[old], "GETS mishandled")
 
     def _on_getx(self, e, msg):
@@ -706,40 +732,40 @@ class DirectoryController:
         out = []
         used_mem = False
         if old == DIR_I:
-            out.append(self._msg(DATA_DIR, req, addr, msg.crit,
-                                 value=self.memory.get(addr, 0), acks=0,
-                                 excl=True, txn=msg.txn))
+            out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
+                            value=self.memory.get(addr, 0), acks=0,
+                            excl=True, txn=msg.txn))
             used_mem = True
         elif old == DIR_S:
-            out.append(self._msg(DATA_DIR, req, addr, msg.crit,
-                                 value=self.memory.get(addr, 0),
-                                 acks=len(invs), excl=True, txn=msg.txn))
+            out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
+                            value=self.memory.get(addr, 0),
+                            acks=len(invs), excl=True, txn=msg.txn))
             used_mem = True
         elif old in (DIR_E, DIR_O):
             if e.owner == req:
                 # Upgrade by the owner itself: no data transfer needed.
-                out.append(self._msg(DATA_DIR, req, addr, msg.crit,
-                                     value=None, acks=len(invs), excl=True,
-                                     txn=msg.txn))
+                out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
+                                value=None, acks=len(invs), excl=True,
+                                txn=msg.txn))
             else:
-                out.append(self._msg(FWD_GETX, e.owner, addr, msg.crit,
-                                     requester=req, acks=len(invs),
-                                     txn=msg.txn))
+                out.append(_msg(FWD_GETX, self.node, e.owner, addr, msg.crit,
+                                requester=req, acks=len(invs),
+                                txn=msg.txn))
         else:
             raise ProtocolError(self.node, addr, DIR_NAMES[old],
                                 "GETX mishandled")
-        out.extend(self._msg(INV, s, addr, msg.crit, requester=req,
-                             txn=msg.txn)
+        out.extend(_msg(INV, self.node, s, addr, msg.crit, requester=req,
+                        txn=msg.txn)
                    for s in invs)
         e.busy = (req, DIR_E, req, _NO_SHARERS)
         e.state = DIR_BUSY
         self._trace("getx", addr, old, DIR_BUSY, msg.crit)
-        return [], out, used_mem
+        return out, used_mem
 
     def _on_putx(self, e, msg):
         addr, src = msg.addr, msg.src
         old = e.state
-        ack = self._msg(WB_ACK, src, addr, msg.crit, txn=msg.txn)
+        ack = _msg(WB_ACK, self.node, src, addr, msg.crit, txn=msg.txn)
         if src == e.owner and old in (DIR_E, DIR_O):
             self.memory[addr] = msg.value
             e.owner = None
@@ -752,7 +778,7 @@ class DirectoryController:
             # Late writeback from a replaced owner: ownership already moved
             # on, so the data is stale. Ack without touching memory.
             self._trace("putx_stale", addr, old, old, msg.crit)
-        return [], [ack], False
+        return [ack]
 
     def _on_unblock(self, e, msg):
         addr = msg.addr
@@ -766,11 +792,3 @@ class DirectoryController:
         e.sharers = final_sharers
         e.busy = None
         self._trace("unblock", addr, DIR_BUSY, final_state, msg.crit)
-        return [("unblocked", addr)], [], False
-
-    def pop_pending(self, addr):
-        """Next queued request once the entry is idle again, else None."""
-        e = self.entries.get(addr)
-        if e is None or e.state == DIR_BUSY or not e.pending:
-            return None
-        return e.pending.popleft()

@@ -37,8 +37,10 @@ from .coherence import (
     GETX,
     INV,
     MSG_NAMES,
-    OWNERSHIP,
     PUTX,
+    UNBLOCK,
+    WB_ACK,
+    block_value,
     check_swmr,
     home_node,
 )
@@ -176,9 +178,10 @@ _R_SEND = 2
 _EV_CORE = 0     # (tid, response)
 _EV_MSG = 1      # (msg, None)
 _EV_SEND = 2     # ([msgs], None) inject into the network
-_EV_ISSUE = 3    # (tid, (op, addr, value, crit)) re-issue a parked spin
-                 # load or a request stalled behind a writeback
-_EV_DIR_POP = 4  # (msg, None) replay a request popped from a pending queue
+_EV_ISSUE = 3    # (tid, None) re-issue core_op[tid]: a parked spin load
+                 # or a request stalled behind a writeback
+_EV_DIR_POP = 4  # (msg, None) replay a request the directory popped from
+                 # its pending queue
 _EV_NAMES = ("core", "msg", "send", "issue", "dir_pop")
 
 
@@ -214,9 +217,10 @@ class Simulator:
         self.crit_reqs = 0
         self.noncrit_reqs = 0
         self.swmr_checks = 0
-        self.core_op = [None] * len(self.cores)   # (op, addr) while blocked
+        # (op, addr, value, crit) while blocked
+        self.core_op = [None] * len(self.cores)
         self.parked = set()                       # (tid, addr) spinning
-        self.wb_stalled = {}                      # (node, addr) -> (op, value, crit)
+        self.wb_stalled = set()                   # (tid, addr) behind a WB
         # INV fan-out pacing: beyond any wake round-trip spread (each hop
         # costs serialization plus hop latency in both directions)
         diameter = max(self.topo.min_hops(0, m) for m in range(cfg.procs))
@@ -257,8 +261,6 @@ class Simulator:
         remote = None
         inv_rank = 0
         for msg in msgs:
-            if msg.crit and not self._crit_tagging:
-                msg.crit = False
             mt = msg.mtype
             if mt == GETS or mt == GETX or mt == PUTX:
                 if msg.crit:
@@ -305,14 +307,17 @@ class Simulator:
         kind = action[0]
         if kind == "mem":
             _, op, addr, value, crit = action
-            self.core_op[tid] = (op, addr)
-            self._issue_mem(tid, op, addr, value, crit)
+            # crit tagging is decided here, once: every message of the
+            # request's transaction inherits this bit
+            self.core_op[tid] = (op, addr, value, crit and self._crit_tagging)
+            self._issue_mem(tid)
         elif kind == "local":
             self._resume_core(tid, None, self.cycle + action[1])
         else:  # done
             self.cores_left -= 1
 
-    def _issue_mem(self, tid, op, addr, value, crit):
+    def _issue_mem(self, tid):
+        op, addr, value, crit = self.core_op[tid]
         cache = self.caches[tid]
         cfg = self.cfg
         cycle = self.cycle
@@ -330,7 +335,7 @@ class Simulator:
             done_at = cycle + cfg.lat_l1 + cfg.lat_l2
         elif tier == "wb_pending":
             # writeback-buffer conflict: replay once the WB_Ack lands
-            self.wb_stalled[(tid, addr)] = (op, value, crit)
+            self.wb_stalled.add((tid, addr))
             return
         else:
             # miss: request leaves after the L1+L2 lookups
@@ -357,23 +362,14 @@ class Simulator:
 
     def _process_dir(self, msg, from_queue=False):
         cfg = self.cfg
-        node = msg.dst
-        events, out, used_mem = self.dirs[node].handle(msg, from_queue)
-        delay = cfg.lat_dir + (cfg.lat_mem if used_mem else 0)
+        out, used_mem, replay = self.dirs[msg.dst].handle(msg, from_queue)
         if out:
-            self._send(out, self.cycle + delay)
-        unblocked = False
-        for ev in events:
-            if ev[0] == "unblocked":
-                unblocked = True
-                self._check_swmr(ev[1])
-        if msg.mtype == PUTX:
+            self._send(out, self.cycle + cfg.lat_dir
+                       + (cfg.lat_mem if used_mem else 0))
+        if msg.mtype == UNBLOCK or msg.mtype == PUTX:
             self._check_swmr(msg.addr)
-        # A finished or immediately-served request may leave queued work.
-        if unblocked or (from_queue and msg.mtype == PUTX):
-            nxt = self.dirs[node].pop_pending(msg.addr)
-            if nxt is not None:
-                self._push(self.cycle + cfg.lat_dir, _R_MSG, _EV_DIR_POP, nxt)
+        if replay is not None:
+            self._push(self.cycle + cfg.lat_dir, _R_MSG, _EV_DIR_POP, replay)
 
     def _process_cache(self, msg):
         cfg = self.cfg
@@ -384,26 +380,20 @@ class Simulator:
             delay = cfg.lat_l2 if msg.mtype in (FWD_GETS, FWD_GETX) else 1
             self._send(out, self.cycle + delay)
         for ev in events:
-            tag = ev[0]
-            if tag == "core_done":
-                _, addr, kind, result, rmw = ev
-                self._finish_core_op(node, addr, result)
-            elif tag == "invalidated":
+            if ev[0] == "core_done":
+                self._finish_core_op(node, ev[1], ev[2])
+            else:  # invalidated
                 key = (node, ev[1])
                 if key in self.parked:
                     self.parked.remove(key)
-                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE,
-                               node, ("spin", ev[1], None, False))
-            elif tag == "wb_done":
-                stalled = self.wb_stalled.pop((node, ev[1]), None)
-                if stalled is not None:
-                    op, value, crit = stalled
-                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE,
-                               node, (op, ev[1], value, crit))
+                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE, node)
+        if msg.mtype == WB_ACK:
+            key = (node, msg.addr)
+            if key in self.wb_stalled:
+                self.wb_stalled.remove(key)
+                self._push(self.cycle + 1, _R_CORE, _EV_ISSUE, node)
 
     def _finish_core_op(self, node, addr, result):
-        if node >= len(self.cores):
-            return
         op = self.core_op[node]
         if op is None or op[1] != addr:
             return
@@ -482,9 +472,7 @@ class Simulator:
                 elif kind == _EV_DIR_POP:
                     self._process_dir(a, from_queue=True)
                 else:  # _EV_ISSUE
-                    op, addr, value, crit = b
-                    self.core_op[a] = (op, addr)
-                    self._issue_mem(a, op, addr, value, crit)
+                    self._issue_mem(a)
 
             if active:
                 net_step(cycle)
@@ -548,18 +536,11 @@ class Simulator:
     # -- reporting -------------------------------------------------------------------
 
     def final_counter_values(self):
+        cfg = self.cfg
         values = []
         for addr in self.program.counter_addrs:
-            val = None
-            for cache in self.caches:
-                blk = cache.blocks.get(addr)
-                if blk is not None and blk.state in OWNERSHIP:
-                    val = blk.data
-                    break
-            if val is None:
-                home = home_node(addr, self.cfg.procs, self.cfg.block_bytes)
-                val = self.dirs[home].memory.get(addr, 0)
-            values.append(val)
+            home = self.dirs[home_node(addr, cfg.procs, cfg.block_bytes)]
+            values.append(block_value(self.caches, home.memory, addr))
         return values
 
     def _stats(self, end_cycle):

@@ -33,10 +33,10 @@ from .coherence import (
     DIR_BOUND,
     DIR_BUSY,
     DirectoryController,
-    OWNERSHIP,
     ProtocolError,
     READABLE,
     ST_S,
+    block_value,
     check_swmr,
 )
 from .memhier import CacheGeometry
@@ -93,25 +93,10 @@ class _System:
     def _agent(self, msg):
         return "d" if msg.mtype in DIR_BOUND else "c"
 
-    def _absorb(self, events, msgs, node):
+    def _absorb(self, msgs):
         for msg in msgs:
             key = (msg.src, self._agent(msg), msg.vnet)
             self.channels.setdefault(key, []).append(msg)
-        for ev in events:
-            if ev[0] == "core_done":
-                _, addr, kind, result, rmw = ev
-                op = self.outstanding[node]
-                self.outstanding[node] = None
-                if op is not None and op[0] == "store":
-                    self.last_store = op[1]
-            elif ev[0] == "unblocked":
-                # drain the pending queue until it re-blocks or empties
-                while True:
-                    nxt = self.dir.pop_pending(ev[1])
-                    if nxt is None:
-                        break
-                    ev2, out2, _ = self.dir.handle(nxt, from_queue=True)
-                    self._absorb(ev2, out2, None)
 
     # -- choices ---------------------------------------------------------------
 
@@ -121,11 +106,22 @@ class _System:
         if not msgs:
             del self.channels[key]
         if key[1] == "d":
-            events, out, _ = self.dir.handle(msg)
-            self._absorb(events, out, None)
+            out, _, replay = self.dir.handle(msg)
+            self._absorb(out)
+            # serve the queue at once until it re-blocks or empties
+            while replay is not None:
+                out, _, replay = self.dir.handle(replay, from_queue=True)
+                self._absorb(out)
         else:
-            events, out = self.caches[msg.dst].handle(msg)
-            self._absorb(events, out, msg.dst)
+            node = msg.dst
+            events, out = self.caches[node].handle(msg)
+            self._absorb(out)
+            for ev in events:
+                if ev[0] == "core_done":
+                    op = self.outstanding[node]
+                    self.outstanding[node] = None
+                    if op is not None and op[0] == "store":
+                        self.last_store = op[1]
 
     def issue(self, node, op):
         cache = self.caches[node]
@@ -134,7 +130,7 @@ class _System:
             (tier, val), msgs = cache.load(_BLOCK, False)
             if tier == "miss":
                 self.outstanding[node] = ("load", None)
-            self._absorb([], msgs, node)
+            self._absorb(msgs)
         elif op == "store":
             value = self.next_value
             self.next_value += 1
@@ -143,10 +139,9 @@ class _System:
                 self.outstanding[node] = ("store", value)
             else:
                 self.last_store = value
-            self._absorb([], msgs, node)
+            self._absorb(msgs)
         else:  # evict
-            events, msgs = cache.evict(_BLOCK)
-            self._absorb(events, msgs, node)
+            self._absorb(cache.evict(_BLOCK)[1])
 
     def choices(self, max_ops):
         """Every enabled (action, arg) pair, in exploration order."""
@@ -189,15 +184,7 @@ class _System:
 
     def check_invariants(self):
         problems = check_swmr(self.caches, _BLOCK)
-        # authoritative token: owner cache if any, else home memory
-        value = None
-        for c in self.caches:
-            blk = c.blocks.get(_BLOCK)
-            if blk is not None and blk.state in OWNERSHIP:
-                value = blk.data
-                break
-        if value is None:
-            value = self.dir.memory.get(_BLOCK, 0)
+        value = block_value(self.caches, self.dir.memory, _BLOCK)
         if value != self.last_store:
             problems.append("token %r != last completed store %r"
                             % (value, self.last_store))

@@ -224,8 +224,9 @@ def test_protocol_error_on_unexpected_event():
 
 def test_dir_invalid_gets_grants_exclusive_clean():
     d = directory()
-    ev, out, mem = d.handle(msg(GETS, 1, 0, requester=1))
+    out, mem, replay = d.handle(msg(GETS, 1, 0, requester=1))
     assert mem                                # memory token read
+    assert replay is None
     assert out[0].mtype == DATA_DIR and out[0].excl and out[0].acks == 0
     e = d.entry(A)
     assert e.state == DIR_BUSY
@@ -238,7 +239,7 @@ def test_dir_shared_getx_invalidate_sharers():
     e = d.entry(A)
     e.state = DIR_S
     e.sharers = frozenset({2, 3})
-    ev, out, mem = d.handle(msg(GETX, 1, 0, requester=1))
+    out, mem, _ = d.handle(msg(GETX, 1, 0, requester=1))
     kinds = sorted(m.mtype for m in out)
     assert kinds == sorted([DATA_DIR, INV, INV])
     data = [m for m in out if m.mtype == DATA_DIR][0]
@@ -253,17 +254,66 @@ def test_dir_shared_getx_invalidate_sharers():
 def test_dir_busy_queues_requests_fifo():
     d = directory()
     d.handle(msg(GETS, 1, 0, requester=1))         # busy now
-    ev, out, _ = d.handle(msg(GETS, 2, 0, requester=2))
-    assert out == [] and ev[0][0] == "queued"
-    ev, out, _ = d.handle(msg(GETX, 3, 0, requester=3))
-    assert out == []
     e = d.entry(A)
+    out, _, replay = d.handle(msg(GETS, 2, 0, requester=2))
+    assert out == [] and replay is None and len(e.pending) == 1
+    out, _, _ = d.handle(msg(GETX, 3, 0, requester=3))
+    assert out == []
     assert [m.requester for m in e.pending] == [2, 3]
-    d.handle(msg(UNBLOCK, 1, 0, requester=1))
-    nxt = d.pop_pending(A)
-    assert nxt.requester == 2
-    ev, out, _ = d.handle(nxt, from_queue=True)     # forwarded to owner 1
+    out, _, nxt = d.handle(msg(UNBLOCK, 1, 0, requester=1))
+    assert out == [] and nxt.requester == 2
+    out, _, replay = d.handle(nxt, from_queue=True)   # forwarded to owner 1
     assert out[0].mtype == FWD_GETS and out[0].dst == 1
+    assert replay is None                          # Busy again
+    assert [m.requester for m in e.pending] == [3]
+
+
+def test_dir_unblock_hands_back_a_queued_putx():
+    d = directory()
+    d.handle(msg(GETX, 2, 0, requester=2))         # busy now
+    e = d.entry(A)
+    putx = msg(PUTX, 1, 0, requester=1, value=5)   # stale: 1 is not owner
+    out, _, replay = d.handle(putx)
+    assert out == [] and replay is None and list(e.pending) == [putx]
+    out, _, replay = d.handle(msg(UNBLOCK, 2, 0, requester=2))
+    assert replay is putx and not e.pending
+
+
+def test_dir_putx_served_from_queue_hands_back_the_next():
+    d = directory()
+    e = d.entry(A)
+    e.state = DIR_E
+    e.owner = 1
+    d.handle(msg(GETS, 2, 0, requester=2))         # forward to owner 1
+    d.handle(msg(PUTX, 1, 0, requester=1, value=5))
+    d.handle(msg(GETX, 3, 0, requester=3))
+    assert [m.mtype for m in e.pending] == [PUTX, GETX]
+    _, _, putx = d.handle(msg(UNBLOCK, 2, 0, requester=2))
+    assert putx.mtype == PUTX
+    out, mem, nxt = d.handle(putx, from_queue=True)
+    # 1 still owned the block (the forward left it in O): memory is written
+    assert [m.mtype for m in out] == [WB_ACK] and not mem
+    assert d.memory[A] == 5 and e.state == DIR_S and e.sharers == {2}
+    assert nxt.mtype == GETX and nxt.requester == 3 and not e.pending
+    out, _, replay = d.handle(nxt, from_queue=True)
+    assert e.state == DIR_BUSY and replay is None
+
+
+def test_dir_replay_into_busy_entry_returns_to_the_front():
+    d = directory()
+    d.handle(msg(GETS, 1, 0, requester=1))         # busy now
+    e = d.entry(A)
+    d.handle(msg(GETX, 2, 0, requester=2))
+    _, _, nxt = d.handle(msg(UNBLOCK, 1, 0, requester=1))
+    assert nxt.requester == 2 and not e.pending
+    # before the replay lands, a newcomer finds the entry idle and is served
+    out, _, _ = d.handle(msg(GETX, 3, 0, requester=3))
+    assert out and e.state == DIR_BUSY
+    out, mem, replay = d.handle(nxt, from_queue=True)
+    assert out == [] and not mem and replay is None
+    assert [m.requester for m in e.pending] == [2]
+    _, _, replay = d.handle(msg(UNBLOCK, 3, 0, requester=3))
+    assert replay is nxt
 
 
 def test_dir_owned_gets_forwards_to_owner():
@@ -272,7 +322,7 @@ def test_dir_owned_gets_forwards_to_owner():
     e.state = DIR_O
     e.owner = 2
     e.sharers = frozenset({3})
-    ev, out, mem = d.handle(msg(GETS, 1, 0, requester=1))
+    out, mem, _ = d.handle(msg(GETS, 1, 0, requester=1))
     assert not mem                                  # cache-to-cache
     assert out[0].mtype == FWD_GETS and out[0].dst == 2
     d.handle(msg(UNBLOCK, 1, 0, requester=1))
@@ -284,8 +334,8 @@ def test_dir_putx_from_owner_writes_memory():
     e = d.entry(A)
     e.state = DIR_E
     e.owner = 1
-    ev, out, _ = d.handle(msg(PUTX, 1, 0, requester=1, value=42))
-    assert out[0].mtype == WB_ACK
+    out, _, replay = d.handle(msg(PUTX, 1, 0, requester=1, value=42))
+    assert out[0].mtype == WB_ACK and replay is None
     assert d.memory[A] == 42
     assert e.state == DIR_I and e.owner is None
 
@@ -296,7 +346,7 @@ def test_dir_stale_putx_acked_without_write():
     e.state = DIR_E
     e.owner = 2
     d.memory[A] = 1
-    ev, out, _ = d.handle(msg(PUTX, 1, 0, requester=1, value=99))
+    out, _, _ = d.handle(msg(PUTX, 1, 0, requester=1, value=99))
     assert out[0].mtype == WB_ACK
     assert d.memory[A] == 1                        # unchanged
     assert e.owner == 2
@@ -333,5 +383,5 @@ def test_crit_propagates_through_directory():
     e = d.entry(A)
     e.state = DIR_E
     e.owner = 2
-    ev, out, _ = d.handle(msg(GETS, 1, 0, requester=1, crit=True))
+    out, _, _ = d.handle(msg(GETS, 1, 0, requester=1, crit=True))
     assert out[0].mtype == FWD_GETS and out[0].crit

@@ -330,6 +330,17 @@ def test_trace_log_written(tmp_path):
     int(parts[0]); int(parts[1]); int(parts[-1])
 
 
+def test_untagged_trace_logs_nothing_critical(tmp_path):
+    # without crit tagging no request is critical, so neither is any cache
+    # or directory transition, nor any message sent or received
+    path = tmp_path / "trace.log"
+    run_simulation(small_cfg(counters=2, iters=1, noncrit_work=2,
+                             crit_tagging=False, trace_file=str(path)))
+    lines = path.read_text().splitlines()
+    assert any(" issue_" in ln for ln in lines)
+    assert [ln for ln in lines if ln.endswith(" 1")] == []
+
+
 def test_threads_fewer_than_procs():
     st = run_simulation(small_cfg(procs=4, threads=2))
     assert all(v == 2 * 2 for v in st.final_counters)

@@ -18,11 +18,13 @@ def spy_on_queueing(sim):
     whose entry ever queued a request."""
     queued = set()
     for d in sim.dirs:
-        def handle(msg, from_queue=False, inner=d.handle, node=d.node):
-            events, out, used_mem = inner(msg, from_queue)
-            if events and events[0][0] == "queued":
+        def handle(msg, from_queue=False, inner=d.handle, node=d.node,
+                   entries=d.entries):
+            result = inner(msg, from_queue)
+            # the queue is made only when a request first has to wait
+            if entries[msg.addr].pending is not None:
                 queued.add((node, msg.addr))
-            return events, out, used_mem
+            return result
         d.handle = handle
     return queued
 
