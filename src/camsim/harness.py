@@ -396,7 +396,11 @@ class Simulator:
     def _finish_core_op(self, node, addr, result):
         op = self.core_op[node]
         if op is None or op[1] != addr:
-            return
+            # a core_done comes only from the transaction _issue_mem opened
+            # for core_op[node], which stays held until it completes
+            raise SimulationError(
+                "node %d: core_done for %#x at cycle %d, but the core holds "
+                "%r" % (node, addr, self.cycle, op))
         if op[0] == "spin" and result != 0:
             # lock still held: stay parked on the (now resident) copy
             self.parked.add((node, addr))

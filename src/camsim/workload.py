@@ -9,6 +9,11 @@ Scratch pairs walk fresh blocks (no reuse across pairs or iterations), so
 the non-critical phase keeps producing cache-cold misses instead of
 degenerating into L1 hits after the first iteration.
 
+Instructions are computed on demand: a thread's program is a
+`ThreadProgram` that yields them in order, and every thread shares one
+locked-section tuple, so a program takes O(threads + counters) memory
+however large iters x noncrit_work grows.
+
 Locking is test-and-test-and-set: spin with LOAD until the lock word
 reads 0, then attempt an atomic test-and-set (a GETX-backed
 read-modify-write); on failure go back to spinning.
@@ -16,7 +21,8 @@ read-modify-write); on failure go back to spinning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 
 # Instruction opcodes (instructions are tuples starting with one of these).
 LOAD = "load"
@@ -86,30 +92,56 @@ def gen_microbenchmark(n_threads, n_counters, iters, noncrit_work,
         section.append((STORE, c, INC))
     section.append((CRIT_EXIT,))
     section.append((UNLOCK, lock_addr))
+    section = tuple(section)
 
-    threads = []
-    for t in range(n_threads):
-        seq = []
-        fresh = scratch_first + t * per_thread_blocks
-        for _ in range(iters):
-            for _ in range(noncrit_work):
-                a = fresh * block_bytes
-                fresh += 1
-                seq.append((LOAD, a))
-                seq.append((STORE, a, INC))
-            seq.extend(section)
-        threads.append(seq)
-
+    threads = [ThreadProgram((scratch_first + t * per_thread_blocks)
+                             * block_bytes, block_bytes, iters, noncrit_work,
+                             section)
+               for t in range(n_threads)]
     return Program(threads, lock_addr, counter_addrs)
+
+
+@dataclass(frozen=True, slots=True)
+class ThreadProgram:
+    """One thread's instruction sequence, computed as it is read.
+
+    Each of `iters` iterations is `noncrit_work` LOAD/STORE pairs over
+    fresh scratch blocks, counted up from `scratch_addr`, then `section`.
+    Sized and re-iterable like a list, in O(1) memory.
+    """
+
+    scratch_addr: int
+    block_bytes: int
+    iters: int
+    noncrit_work: int
+    section: tuple
+
+    def __len__(self):
+        return self.iters * (2 * self.noncrit_work + len(self.section))
+
+    def __iter__(self):
+        step = self.block_bytes
+        span = self.noncrit_work * step
+        base = self.scratch_addr
+        for _ in range(self.iters):
+            for a in range(base, base + span, step):
+                yield (LOAD, a)
+                yield (STORE, a, INC)
+            base += span
+            yield from self.section
 
 
 @dataclass
 class CoreState:
-    """In-order core: one outstanding memory request, per-core crit flag."""
+    """In-order core: one outstanding memory request, per-core crit flag.
+
+    `program` is any iterable of instructions, read once and in order;
+    `ins` is the instruction at `pc`, None past the end.
+    """
 
     tid: int
-    program: list
-    pc: int = 0
+    program: Iterable
+    pc: int = field(default=0, init=False)
     crit: bool = False
     last_load: int = 0
     lock_phase: str = ""              # "" | "spin" | "rmw" | "unlock"
@@ -117,6 +149,12 @@ class CoreState:
     done: bool = False
     # progress accounting for the liveness watchdog
     retired: int = 0
+    ins: tuple | None = field(init=False, repr=False, compare=False)
+    _rest: Iterator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rest = iter(self.program)
+        self.ins = next(self._rest, None)
 
     def step(self, response=None):
         """Retire the blocked op (if any) and run to the next boundary.
@@ -131,46 +169,38 @@ class CoreState:
         if self.outstanding:
             self.outstanding = False
             self.retired += 1
-            if self.lock_phase == "spin":
+            phase = self.lock_phase
+            if phase == "spin":
                 # test-and-test-and-set: observed 0, try to take it
                 self.lock_phase = "rmw"
                 self.outstanding = True
-                return ("mem", "rmw", self.program[self.pc][1], None, False)
-            if self.lock_phase == "rmw":
-                if response == 0:
-                    self.lock_phase = ""
-                    self.pc += 1
-                else:
-                    self.lock_phase = "spin"
-                    self.outstanding = True
-                    return ("mem", "spin", self.program[self.pc][1], None,
-                            False)
-            elif self.lock_phase == "unlock":
-                self.lock_phase = ""
-                self.pc += 1
-            else:
-                ins = self.program[self.pc]
-                if ins[0] == LOAD:
-                    self.last_load = response
-                self.pc += 1
+                return ("mem", "rmw", self.ins[1], None, False)
+            if phase == "rmw" and response != 0:
+                # test-and-set lost the race: go back to spinning
+                self.lock_phase = "spin"
+                self.outstanding = True
+                return ("mem", "spin", self.ins[1], None, False)
+            if not phase and self.ins[0] == LOAD:
+                self.last_load = response
+            self.lock_phase = ""
+            self.pc += 1
+            self.ins = next(self._rest, None)
 
         local = 0
         while True:
-            if self.pc >= len(self.program):
+            ins = self.ins
+            if ins is None:
                 self.done = True
                 return ("done",) if local == 0 else ("local", local)
-            ins = self.program[self.pc]
             op = ins[0]
-            if op == CRIT_ENTER:
-                apply_crit_marker(self, CRIT_ENTER)
+            if op == CRIT_ENTER or op == CRIT_EXIT:
+                apply_crit_marker(self, op)
                 self.pc += 1
-                local += 1
-            elif op == CRIT_EXIT:
-                apply_crit_marker(self, CRIT_EXIT)
-                self.pc += 1
+                self.ins = next(self._rest, None)
                 local += 1
             elif op == DELAY:
                 self.pc += 1
+                self.ins = next(self._rest, None)
                 return ("local", local + ins[1])
             elif local:
                 # charge marker cycles before issuing the next memory op

@@ -1,5 +1,6 @@
 """End-to-end simulation behavior, stats, sweeps and CSV emission."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -162,6 +163,19 @@ def test_swmr_violation_raises():
     with pytest.raises(SimulationError, match="SWMR violation .*0x40"):
         sim._check_swmr(0x40)
     assert sim.swmr_checks == 1
+
+
+@pytest.mark.parametrize("held", [None, ("load", 0x80, None, False)])
+def test_stray_core_done_raises(held):
+    # a completion for no held request, or for another address, means the
+    # memory system answered a request the core never made
+    sim = Simulator(small_cfg())
+    sim.core_op[1] = held
+    with pytest.raises(SimulationError,
+                       match="node 1: core_done for 0x40 .* holds %s"
+                       % re.escape(repr(held))):
+        sim._finish_core_op(1, 0x40, 0)
+    assert sim.core_op[1] == held and not sim.evq
 
 
 def test_trace_file_closed_when_run_fails(tmp_path):

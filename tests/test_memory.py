@@ -77,3 +77,31 @@ def test_run_allocates_little_per_directory_entry():
     entries = sum(len(d.entries) for d in sim.dirs)
     assert entries > 1000
     assert added / entries <= 800, (added, entries)
+
+
+PRESET_CELL = dict(topology="torus2d", procs=16, counters=300,
+                   noncrit_work=5000, lat_mem=30)
+
+
+def traced_construction(**kw):
+    """Bytes of traced memory a `Simulator` holds once constructed."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = Simulator(Config(**kw))      # alive while measured
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_preset_cell_constructs_in_little_memory():
+    # a materialized program took about 39 MB here; streamed, the whole
+    # simulator takes well under 1 MB before it runs
+    assert traced_construction(iters=3, **PRESET_CELL) < 1 << 20
+
+
+def test_program_memory_independent_of_iters():
+    traced_construction(iters=1, **PRESET_CELL)        # warm module caches
+    one = traced_construction(iters=1, **PRESET_CELL)
+    eight = traced_construction(iters=8, **PRESET_CELL)
+    assert eight - one < 64 << 10, (one, eight)

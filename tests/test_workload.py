@@ -1,6 +1,7 @@
 """Microbenchmark generation, crit markers and core stepping."""
 
 import io
+import random
 
 import pytest
 
@@ -11,12 +12,90 @@ from camsim.workload import (
     INC,
     LOAD,
     LOCK,
+    Program,
     STORE,
     UNLOCK,
     WorkloadError,
     apply_crit_marker,
     gen_microbenchmark,
 )
+
+
+def reference_threads(n_threads, n_counters, iters, noncrit_work,
+                      block_bytes=64):
+    """The program as one materialized instruction list per thread."""
+    lock_addr = 0
+    counter_addrs = [(1 + i) * block_bytes for i in range(n_counters)]
+    scratch_first = 1 + n_counters
+    per_thread_blocks = iters * noncrit_work
+    section = [(LOCK, lock_addr), (CRIT_ENTER,)]
+    for c in counter_addrs:
+        section.append((LOAD, c))
+        section.append((STORE, c, INC))
+    section.append((CRIT_EXIT,))
+    section.append((UNLOCK, lock_addr))
+    threads = []
+    for t in range(n_threads):
+        seq = []
+        fresh = scratch_first + t * per_thread_blocks
+        for _ in range(iters):
+            for _ in range(noncrit_work):
+                a = fresh * block_bytes
+                fresh += 1
+                seq.append((LOAD, a))
+                seq.append((STORE, a, INC))
+            seq.extend(section)
+        threads.append(seq)
+    return threads
+
+
+SHAPES = [(1, 1, 1, 0, 64), (4, 8, 2, 5, 64), (16, 3, 3, 4, 64),
+          (4, 8, 2, 5, 128)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_streamed_threads_match_reference(shape):
+    *dims, block_bytes = shape
+    prog = gen_microbenchmark(*dims, block_bytes=block_bytes)
+    ref = reference_threads(*dims, block_bytes=block_bytes)
+    assert len(prog.threads) == len(ref)
+    for seq, want in zip(prog.threads, ref):
+        assert list(seq) == want
+        assert len(seq) == len(want)
+        assert list(seq) == list(seq)      # re-iterable
+    streamed, listed = io.StringIO(), io.StringIO()
+    prog.dump(streamed)
+    Program(ref, prog.lock_addr, prog.counter_addrs).dump(listed)
+    assert streamed.getvalue() == listed.getvalue()
+
+
+def drive(core, seed):
+    """Step `core` to completion with seeded responses; its actions."""
+    rng = random.Random(seed)
+    actions = []
+    action = core.step()
+    while action[0] != "done":
+        actions.append(action)
+        if action[0] == "mem" and action[1] in ("load", "rmw", "spin"):
+            # a failed test-and-set now and then sends the core back to spin
+            action = core.step(rng.choice((0, 0, 1)) if action[1] == "rmw"
+                               else rng.randrange(100))
+        else:
+            action = core.step()
+    return actions
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_core_over_streamed_thread_acts_as_over_list(shape):
+    *dims, block_bytes = shape
+    prog = gen_microbenchmark(*dims, block_bytes=block_bytes)
+    ref = reference_threads(*dims, block_bytes=block_bytes)
+    for t in (0, len(ref) - 1):
+        streamed = CoreState(t, prog.threads[t])
+        listed = CoreState(t, ref[t])
+        assert drive(streamed, t) == drive(listed, t)
+        assert streamed.pc == listed.pc == len(ref[t])
+        assert streamed.retired == listed.retired
 
 
 def test_single_thread_single_counter():
