@@ -8,6 +8,7 @@ from .coherence import (
     ProtocolError,
     check_swmr,
     home_node,
+    vnet_of,
 )
 from .harness import (
     Config,
@@ -21,7 +22,7 @@ from .harness import (
     run_sweep,
 )
 from .memhier import CacheArray, CacheGeometry
-from .network import Message, Network, serialization_cycles, vnet_of
+from .network import Message, Network, serialization_cycles
 from .topology import ConfigError, Topology, build_topology
 from .workload import CoreState, Program, gen_microbenchmark
 

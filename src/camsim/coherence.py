@@ -1,13 +1,12 @@
 """MOESI blocking-directory protocol controllers.
 
 Both controllers are untimed state machines driven one delivered message
-at a time. `CacheController.handle` returns `(events, outgoing_messages)`,
-where an event is `("invalidated", addr)` (the block left this cache) or
-`("core_done", addr, result)` (the core's request finished).
-`DirectoryController.handle` returns `(outgoing_messages, used_memory,
-replay)`. The timed simulator wraps calls with latencies; the exhaustive
-model checker drives the same code directly with arbitrary delivery
-orders.
+at a time. `CacheController.handle` returns `(outgoing_messages, done)`,
+where `done` is `(addr, result)` when the core's request finished, else
+None; `evict` returns only messages. `DirectoryController.handle` returns
+`(outgoing_messages, used_memory, replay)`. The timed simulator wraps
+calls with latencies; the exhaustive model checker drives the same code
+directly with arbitrary delivery orders.
 
 Protocol shape: a per-block home directory serializes transactions with a
 Busy state and a strict-FIFO pending queue. Requesters close each
@@ -44,12 +43,7 @@ from __future__ import annotations
 from collections import deque
 
 from .memhier import CacheArray
-from .network import (
-    FORWARD,
-    Message,
-    REQUEST,
-    RESPONSE,
-)
+from .network import Message
 
 # Protocol message types.
 GETS, GETX, PUTX, FWD_GETS, FWD_GETX, INV, DATA_DIR, DATA_OWNER, INV_ACK, \
@@ -58,12 +52,22 @@ GETS, GETX, PUTX, FWD_GETS, FWD_GETX, INV, DATA_DIR, DATA_OWNER, INV_ACK, \
 MSG_NAMES = ("GETS", "GETX", "PUTX", "Fwd_GETS", "Fwd_GETX", "INV",
              "Data_Dir", "Data_Owner", "InvAck", "WB_Ack", "Unblock")
 
+# Message classes. A class and a crit bit make a virtual network; the
+# model checker keys its in-flight channels by it.
+REQUEST, FORWARD, RESPONSE = 0, 1, 2
+
 CLASS_OF = {
     GETS: REQUEST, GETX: REQUEST, PUTX: REQUEST,
     FWD_GETS: FORWARD, FWD_GETX: FORWARD, INV: FORWARD,
     DATA_DIR: RESPONSE, DATA_OWNER: RESPONSE, INV_ACK: RESPONSE,
     WB_ACK: RESPONSE, UNBLOCK: RESPONSE,
 }
+
+
+def vnet_of(msg_class, crit):
+    """Map (class, crit) to a virtual network id: 0-2 normal, 3-5 critical."""
+    return msg_class + 3 if crit else msg_class
+
 
 # Message types whose payload includes the 64 B block.
 DATA_BEARING = frozenset((PUTX, DATA_DIR, DATA_OWNER))
@@ -106,8 +110,8 @@ def home_node(addr, n_nodes, block_bytes=64):
 def _msg(mtype, src, dst, addr, crit, requester=None, acks=0, value=None,
          excl=False, txn=None):
     # size placeholder; Simulator._send applies the configured bytes
-    return Message(mtype, CLASS_OF[mtype], crit, 0, src, dst, addr,
-                   requester, acks, value, excl, txn)
+    return Message(mtype, crit, 0, src, dst, addr, requester, acks, value,
+                   excl, txn)
 
 
 def block_value(caches, memory, addr):
@@ -275,6 +279,14 @@ class CacheController:
             return blk.state
         return ST_I
 
+    def holds(self, addr):
+        """True while this cache holds a readable copy of `addr` or a
+        writeback of it."""
+        if addr in self.wb:
+            return True
+        blk = self.blocks.get(addr)
+        return blk is not None and blk.state in READABLE
+
     def _trace(self, event, addr, old, new, crit=False):
         if self.trace is not None:
             self.trace(self.node, event, addr, STATE_NAMES[old],
@@ -370,14 +382,13 @@ class CacheController:
         """Replace `addr` (forced). Dirty/exclusive blocks write back."""
         blk = self.blocks.get(addr)
         if blk is None:
-            return [], []
+            return []
         if addr in self.txns:
             raise ProtocolError(self.node, addr, STATE_NAMES[blk.state],
                                 "eviction while a transaction is in flight")
         self.l1.remove(addr)
         self.l2.remove(addr)
         del self.blocks[addr]
-        events = [("invalidated", addr)]
         old = blk.state
         if old in (ST_M, ST_E):
             new = ST_MI
@@ -385,7 +396,7 @@ class CacheController:
             new = ST_OI
         elif old == ST_S:
             self._trace("evict_silent", addr, old, ST_I)
-            return events, []
+            return []
         else:
             raise ProtocolError(self.node, addr, STATE_NAMES[old],
                                 "eviction from a transient state")
@@ -395,7 +406,7 @@ class CacheController:
         msg = _msg(PUTX, self.node, self._home(addr), addr, False,
                    requester=self.node, value=blk.data,
                    txn=(self.node, addr, "wb"))
-        return events, [msg]
+        return [msg]
 
     def _fill_l1(self, addr):
         if not self.l1.contains(addr):
@@ -404,22 +415,19 @@ class CacheController:
     def _install_l2(self, addr):
         """Make addr L2-resident; may force a victim writeback."""
         msgs = []
-        events = []
         if not self.l2.contains(addr):
             victim = self.l2.install(
                 addr, exclude=_Pinned(self.txns, self.wb, addr))
             if victim is not None:
-                ev, m = self.evict(victim)
                 # evict() removed the victim's l2 entry; ours stays.
-                events.extend(ev)
-                msgs.extend(m)
+                msgs = self.evict(victim)
         self._fill_l1(addr)
-        return events, msgs
+        return msgs
 
     # -- message handling --------------------------------------------------------
 
     def handle(self, msg):
-        """Apply one delivered message; returns (events, outgoing msgs)."""
+        """Apply one delivered message; returns (outgoing msgs, done)."""
         mt = msg.mtype
         if mt == DATA_DIR or mt == DATA_OWNER:
             return self._on_data(msg)
@@ -447,15 +455,15 @@ class CacheController:
             old = blk.state
             blk.state = ST_OM if old == ST_OM else ST_O
             self._trace("fwd_gets", addr, old, blk.state, crit)
-            return [], [_msg(DATA_OWNER, self.node, msg.requester, addr,
-                             crit, value=blk.data, acks=0, txn=msg.txn)]
+            return [_msg(DATA_OWNER, self.node, msg.requester, addr, crit,
+                         value=blk.data, acks=0, txn=msg.txn)], None
         blk = self.wb.get(addr)
         if blk is not None and blk.state in (ST_MI, ST_OI):
             old = blk.state
             blk.state = ST_OI
             self._trace("fwd_gets", addr, old, ST_OI, crit)
-            return [], [_msg(DATA_OWNER, self.node, msg.requester, addr,
-                             crit, value=blk.data, acks=0, txn=msg.txn)]
+            return [_msg(DATA_OWNER, self.node, msg.requester, addr, crit,
+                         value=blk.data, acks=0, txn=msg.txn)], None
         raise ProtocolError(self.node, addr,
                             STATE_NAMES[self.state_of(addr)],
                             "Fwd_GETS but not owner")
@@ -479,7 +487,7 @@ class CacheController:
                         ST_IM if old == ST_OM else ST_I, crit)
             reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
                          value=data, acks=msg.acks, txn=msg.txn)
-            return [("invalidated", addr)], [reply]
+            return [reply], None
         blk = self.wb.get(addr)
         if blk is not None and blk.state in (ST_MI, ST_OI):
             old = blk.state
@@ -487,7 +495,7 @@ class CacheController:
             self._trace("fwd_getx", addr, old, ST_II, crit)
             reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
                          value=blk.data, acks=msg.acks, txn=msg.txn)
-            return [], [reply]
+            return [reply], None
         raise ProtocolError(self.node, addr,
                             STATE_NAMES[self.state_of(addr)],
                             "Fwd_GETX but not owner")
@@ -497,19 +505,16 @@ class CacheController:
         crit = msg.crit
         blk = self.blocks.get(addr)
         state = blk.state if blk is not None else ST_I
-        events = []
         if state == ST_S:
             self.l1.remove(addr)
             self.l2.remove(addr)
             del self.blocks[addr]
             self._trace("inv", addr, ST_S, ST_I, crit)
-            events.append(("invalidated", addr))
         elif state == ST_SM:
             blk.state = ST_IM
             self.l1.remove(addr)
             self.l2.remove(addr)
             self._trace("inv", addr, ST_SM, ST_IM, crit)
-            events.append(("invalidated", addr))
         elif state in (ST_IS, ST_IM, ST_I):
             # Request still queued at the directory, or a silently dropped
             # copy: acknowledge and stand by.
@@ -518,7 +523,7 @@ class CacheController:
             raise ProtocolError(self.node, addr, STATE_NAMES[state],
                                 "INV at an ownership state")
         ack = _msg(INV_ACK, self.node, msg.requester, addr, crit, txn=msg.txn)
-        return events, [ack]
+        return [ack], None
 
     def _on_data(self, msg):
         addr = msg.addr
@@ -550,12 +555,12 @@ class CacheController:
                                 STATE_NAMES[self.state_of(msg.addr)],
                                 "WB_Ack with no writeback pending")
         self._trace("wb_ack", msg.addr, blk.state, ST_I)
-        return [], []
+        return [], None
 
     def _maybe_complete(self, addr):
         txn = self.txns[addr]
         if txn.waiting_data or txn.acks_got != txn.acks_needed:
-            return [], []
+            return [], None
         del self.txns[addr]
         blk = self.blocks[addr]
         old = blk.state
@@ -575,11 +580,10 @@ class CacheController:
             else:
                 blk.data = txn.store_value
         self._trace("complete_" + txn.kind, addr, old, blk.state, txn.crit)
-        events, msgs = self._install_l2(addr)
-        events.append(("core_done", addr, result))
+        msgs = self._install_l2(addr)
         msgs.append(_msg(UNBLOCK, self.node, self._home(addr), addr,
                          txn.crit, requester=self.node, txn=txn.txn_id))
-        return events, msgs
+        return msgs, (addr, result)
 
 
 _NO_SHARERS = frozenset()

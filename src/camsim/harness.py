@@ -39,7 +39,6 @@ from .coherence import (
     MSG_NAMES,
     PUTX,
     UNBLOCK,
-    WB_ACK,
     block_value,
     check_swmr,
     home_node,
@@ -178,8 +177,7 @@ _R_SEND = 2
 _EV_CORE = 0     # (tid, response)
 _EV_MSG = 1      # (msg, None)
 _EV_SEND = 2     # ([msgs], None) inject into the network
-_EV_ISSUE = 3    # (tid, None) re-issue core_op[tid]: a parked spin load
-                 # or a request stalled behind a writeback
+_EV_ISSUE = 3    # (tid, None) re-issue core_op[tid] of a waiting core
 _EV_DIR_POP = 4  # (msg, None) replay a request the directory popped from
                  # its pending queue
 _EV_NAMES = ("core", "msg", "send", "issue", "dir_pop")
@@ -191,8 +189,8 @@ class Simulator:
     def __init__(self, cfg):
         cfg.validate()
         self.cfg = cfg
-        self.topo = build_topology(cfg.topology, cfg.procs)
-        self.net = Network(self.topo, cfg.bandwidth, cfg.hop_latency,
+        topo = build_topology(cfg.topology, cfg.procs)
+        self.net = Network(topo, cfg.bandwidth, cfg.hop_latency,
                            cam_enabled=cfg.cam)
         self.program = gen_microbenchmark(
             cfg.n_threads(), cfg.counters, cfg.iters, cfg.noncrit_work,
@@ -219,11 +217,18 @@ class Simulator:
         self.swmr_checks = 0
         # (op, addr, value, crit) while blocked
         self.core_op = [None] * len(self.cores)
-        self.parked = set()                       # (tid, addr) spinning
-        self.wb_stalled = set()                   # (tid, addr) behind a WB
+        # waiting[node]: the address the node's core waits on, else None.
+        # A core waits while its spin load reads nonzero, or while its
+        # request finds the block mid-writeback. It re-issues once its
+        # cache holds neither a readable copy nor a writeback of the
+        # address. Checking that after each message for the address is
+        # exact: a waiting core has no open transaction, so no fill or
+        # eviction happens at its node, and only an INV, Fwd_GETX or
+        # WB_Ack for that address can take its block.
+        self.waiting = [None] * cfg.procs
         # INV fan-out pacing: beyond any wake round-trip spread (each hop
         # costs serialization plus hop latency in both directions)
-        diameter = max(self.topo.min_hops(0, m) for m in range(cfg.procs))
+        diameter = max(topo.min_hops(0, m) for m in range(cfg.procs))
         self.inv_pace = 2 * diameter * (2 + cfg.hop_latency) + 4
         self.cores_left = len(self.cores)
         self._progress = [0] * len(self.cores)
@@ -330,22 +335,24 @@ class Simulator:
         else:  # spin: a load that only completes on reading 0
             (tier, val), msgs = cache.load(addr, False)
         if tier == "l1":
-            done_at = cycle + cfg.lat_l1
+            self._complete(tid, val, cycle + cfg.lat_l1)
         elif tier == "l2":
-            done_at = cycle + cfg.lat_l1 + cfg.lat_l2
+            self._complete(tid, val, cycle + cfg.lat_l1 + cfg.lat_l2)
         elif tier == "wb_pending":
-            # writeback-buffer conflict: replay once the WB_Ack lands
-            self.wb_stalled.add((tid, addr))
-            return
+            self.waiting[tid] = addr         # the block is mid-writeback
         else:
             # miss: request leaves after the L1+L2 lookups
             self._send(msgs, cycle + cfg.lat_l1 + cfg.lat_l2)
-            return
-        if op == "spin" and val != 0:
-            self.parked.add((tid, addr))     # wait for invalidation
+
+    def _complete(self, tid, value, at):
+        """The core's request read `value`: resume the core at `at`, or
+        keep it waiting while its spin load reads nonzero."""
+        op, addr = self.core_op[tid][:2]
+        if op == "spin" and value != 0:
+            self.waiting[tid] = addr         # lock still held
         else:
             self.core_op[tid] = None
-            self._resume_core(tid, val, done_at)
+            self._resume_core(tid, value, at)
 
     # -- message processing -------------------------------------------------------
 
@@ -374,39 +381,27 @@ class Simulator:
     def _process_cache(self, msg):
         cfg = self.cfg
         node = msg.dst
-        events, out = self.caches[node].handle(msg)
+        cache = self.caches[node]
+        out, done = cache.handle(msg)
         if out:
             # forwards read the L2 data array; acks and fills are quick
             delay = cfg.lat_l2 if msg.mtype in (FWD_GETS, FWD_GETX) else 1
             self._send(out, self.cycle + delay)
-        for ev in events:
-            if ev[0] == "core_done":
-                self._finish_core_op(node, ev[1], ev[2])
-            else:  # invalidated
-                key = (node, ev[1])
-                if key in self.parked:
-                    self.parked.remove(key)
-                    self._push(self.cycle + 1, _R_CORE, _EV_ISSUE, node)
-        if msg.mtype == WB_ACK:
-            key = (node, msg.addr)
-            if key in self.wb_stalled:
-                self.wb_stalled.remove(key)
-                self._push(self.cycle + 1, _R_CORE, _EV_ISSUE, node)
+        if done is not None:
+            self._finish_core_op(node, *done)
+        elif self.waiting[node] == msg.addr and not cache.holds(msg.addr):
+            self.waiting[node] = None
+            self._push(self.cycle + 1, _R_CORE, _EV_ISSUE, node)
 
     def _finish_core_op(self, node, addr, result):
         op = self.core_op[node]
         if op is None or op[1] != addr:
-            # a core_done comes only from the transaction _issue_mem opened
+            # a request finishes only in the transaction _issue_mem opened
             # for core_op[node], which stays held until it completes
             raise SimulationError(
                 "node %d: core_done for %#x at cycle %d, but the core holds "
                 "%r" % (node, addr, self.cycle, op))
-        if op[0] == "spin" and result != 0:
-            # lock still held: stay parked on the (now resident) copy
-            self.parked.add((node, addr))
-            return
-        self.core_op[node] = None
-        self._resume_core(node, result, self.cycle + 1)
+        self._complete(node, result, self.cycle + 1)
 
     def _check_swmr(self, addr):
         self.swmr_checks += 1
@@ -425,7 +420,6 @@ class Simulator:
             if self._trace_out is not None:
                 self._trace_out.close()
         self.cycle = cycle
-        self.net.finalize(cycle)
         stats = self._stats(cycle)
         # every thread increments every counter once per iteration
         want = self.cfg.n_threads() * self.cfg.iters
@@ -472,7 +466,7 @@ class Simulator:
                     self._process_msg(a)
                 elif kind == _EV_SEND:
                     for m in a:
-                        net.inject(m, cycle)
+                        net.inject(m)
                 elif kind == _EV_DIR_POP:
                     self._process_dir(a, from_queue=True)
                 else:  # _EV_ISSUE

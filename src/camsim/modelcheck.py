@@ -29,15 +29,16 @@ import copy
 from dataclasses import dataclass
 
 from .coherence import (
+    CLASS_OF,
     CacheController,
     DIR_BOUND,
     DIR_BUSY,
     DirectoryController,
     ProtocolError,
-    READABLE,
     ST_S,
     block_value,
     check_swmr,
+    vnet_of,
 )
 from .memhier import CacheGeometry
 
@@ -95,7 +96,8 @@ class _System:
 
     def _absorb(self, msgs):
         for msg in msgs:
-            key = (msg.src, self._agent(msg), msg.vnet)
+            key = (msg.src, self._agent(msg),
+                   vnet_of(CLASS_OF[msg.mtype], msg.crit))
             self.channels.setdefault(key, []).append(msg)
 
     # -- choices ---------------------------------------------------------------
@@ -114,14 +116,13 @@ class _System:
                 self._absorb(out)
         else:
             node = msg.dst
-            events, out = self.caches[node].handle(msg)
+            out, done = self.caches[node].handle(msg)
             self._absorb(out)
-            for ev in events:
-                if ev[0] == "core_done":
-                    op = self.outstanding[node]
-                    self.outstanding[node] = None
-                    if op is not None and op[0] == "store":
-                        self.last_store = op[1]
+            if done is not None:
+                op = self.outstanding[node]
+                self.outstanding[node] = None
+                if op is not None and op[0] == "store":
+                    self.last_store = op[1]
 
     def issue(self, node, op):
         cache = self.caches[node]
@@ -141,7 +142,7 @@ class _System:
                 self.last_store = value
             self._absorb(msgs)
         else:  # evict
-            self._absorb(cache.evict(_BLOCK)[1])
+            self._absorb(cache.evict(_BLOCK))
 
     def choices(self, max_ops):
         """Every enabled (action, arg) pair, in exploration order."""
@@ -164,11 +165,9 @@ class _System:
         if _BLOCK in cache.txns or _BLOCK in cache.wb:
             # requests against a mid-writeback block stall; no new choice
             return ()
-        ops = ["load", "store"]
-        blk = cache.blocks.get(_BLOCK)
-        if blk is not None and blk.state in READABLE:
-            ops.append("evict")
-        return ops
+        if cache.holds(_BLOCK):     # no writeback pending: a readable copy
+            return ("load", "store", "evict")
+        return ("load", "store")
 
     # -- invariants ---------------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Message transport over links with two arbitration lanes per link.
 
-Messages of the three protocol classes (request / forward / response)
-travel on vnets 0-2 when non-critical and 3-5 when critical; every
-message carries its vnet (`Message.vnet`). Links are store-and-forward
-at whole-message granularity: a link serializes one message at a time,
-for ceil(size_bytes * 10 / bandwidth) cycles, then the message propagates
-for `hop_latency` cycles and lands in the next link's input buffer (or at
-the destination endpoint). Routers add no queueing of their own: links
-are the only contention points.
+The network sees two lanes, and a message's crit bit picks its lane. Its
+virtual network is its protocol class (request / forward / response)
+crossed with the crit bit (`coherence.vnet_of`: 0-2 non-critical, 3-5
+critical); vnets key the model checker's channels, and links arbitrate
+two lanes exactly as they would six vnet buffers (below).
+
+Links are store-and-forward at whole-message granularity: a link
+serializes one message at a time, for ceil(size_bytes * 10 / bandwidth)
+cycles, then the message propagates for `hop_latency` cycles and lands in
+the next link's input buffer (or at the destination endpoint). Routers
+add no queueing of their own: links are the only contention points.
 
 Each link's input buffer is two FIFOs in arrival order: the non-critical
 lane (vnets 0-2) and the critical lane (vnets 3-5). Every enqueue stamps
@@ -45,16 +48,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-# Message classes.
-REQUEST, FORWARD, RESPONSE = 0, 1, 2
-
 # `wake` when nothing in the network is scheduled.
 NEVER = 1 << 62
-
-
-def vnet_of(msg_class, crit):
-    """Map (class, crit) to a virtual network id: 0-2 normal, 3-5 critical."""
-    return msg_class + 3 if crit else msg_class
 
 
 def serialization_cycles(size_bytes, bandwidth):
@@ -65,21 +60,20 @@ def serialization_cycles(size_bytes, bandwidth):
 class Message:
     """One protocol message in flight.
 
-    `mtype` is a camsim.coherence message-type constant; `cls` its class;
-    `crit` a bool. `value`/`acks`/`excl`/`requester` are protocol payload.
-    `txn` identifies the transaction for audit logging.
+    `mtype` is a camsim.coherence message-type constant; `crit` a bool.
+    `value`/`acks`/`excl`/`requester` are protocol payload. `txn`
+    identifies the transaction for audit logging.
     """
 
     __slots__ = (
-        "mtype", "cls", "crit", "size", "src", "dst", "addr",
+        "mtype", "crit", "size", "src", "dst", "addr",
         "requester", "acks", "value", "excl", "txn",
-        "inject_cycle", "route", "hop", "stamp",
+        "route", "hop", "stamp",
     )
 
-    def __init__(self, mtype, cls, crit, size, src, dst, addr,
+    def __init__(self, mtype, crit, size, src, dst, addr,
                  requester=None, acks=0, value=None, excl=False, txn=None):
         self.mtype = mtype
-        self.cls = cls
         self.crit = crit
         self.size = size
         self.src = src
@@ -90,20 +84,14 @@ class Message:
         self.value = value
         self.excl = excl
         self.txn = txn
-        self.inject_cycle = -1
         self.route = None
         self.hop = 0
         self.stamp = 0
-
-    @property
-    def vnet(self):
-        return vnet_of(self.cls, self.crit)
 
     def __deepcopy__(self, memo):
         # every slot holds an int, bool, None or a tuple of those
         twin = Message.__new__(Message)
         twin.mtype = self.mtype
-        twin.cls = self.cls
         twin.crit = self.crit
         twin.size = self.size
         twin.src = self.src
@@ -114,15 +102,14 @@ class Message:
         twin.value = self.value
         twin.excl = self.excl
         twin.txn = self.txn
-        twin.inject_cycle = self.inject_cycle
         twin.route = self.route
         twin.hop = self.hop
         twin.stamp = self.stamp
         return twin
 
     def __repr__(self):
-        return "Message(t%d %s->%s addr=%#x vnet=%d)" % (
-            self.mtype, self.src, self.dst, self.addr, self.vnet)
+        return "Message(t%d %s->%s addr=%#x crit=%d)" % (
+            self.mtype, self.src, self.dst, self.addr, self.crit)
 
 
 class Network:
@@ -133,7 +120,6 @@ class Network:
     """
 
     def __init__(self, topo, bandwidth, hop_latency=1, cam_enabled=False):
-        self.topo = topo
         self.bandwidth = bandwidth
         self.hop_latency = hop_latency
         self.cam_enabled = cam_enabled
@@ -172,12 +158,11 @@ class Network:
 
     # -- injection ---------------------------------------------------------
 
-    def inject(self, msg, cycle):
+    def inject(self, msg):
         """Queue msg on the first link of its route."""
         src, dst = msg.src, msg.dst
         if src == dst:
             raise ValueError("inject with src == dst (%d)" % src)
-        msg.inject_cycle = cycle
         route = msg.route = self.routes[src * self._n_nodes + dst]
         msg.hop = 0
         self.injected += 1
@@ -289,12 +274,3 @@ class Network:
 
     def idle(self):
         return not self.active and not self._landings
-
-    # -- reporting -----------------------------------------------------------
-
-    def finalize(self, end_cycle):
-        """Trim busy-cycle credit that extends past the end of the run."""
-        for li in range(self.n_links):
-            overhang = self.busy_until[li] - 1 - end_cycle
-            if overhang > 0:
-                self.busy_cycles[li] -= overhang

@@ -31,7 +31,6 @@ LOCK = "lock"
 UNLOCK = "unlock"
 CRIT_ENTER = "crit_enter"
 CRIT_EXIT = "crit_exit"
-DELAY = "delay"
 
 INC = "inc"              # store value = last loaded value + 1
 
@@ -57,8 +56,6 @@ class Program:
                     out.write("T%d %s %#x\n" % (tid, op.upper(), ins[1]))
                 elif op == STORE:
                     out.write("T%d STORE %#x %s\n" % (tid, ins[1], ins[2]))
-                elif op == DELAY:
-                    out.write("T%d DELAY %d\n" % (tid, ins[1]))
                 else:
                     out.write("T%d %s\n" % (tid, op.upper()))
 
@@ -198,10 +195,6 @@ class CoreState:
                 self.pc += 1
                 self.ins = next(self._rest, None)
                 local += 1
-            elif op == DELAY:
-                self.pc += 1
-                self.ins = next(self._rest, None)
-                return ("local", local + ins[1])
             elif local:
                 # charge marker cycles before issuing the next memory op
                 return ("local", local)

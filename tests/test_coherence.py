@@ -18,9 +18,9 @@ from camsim.coherence import (
     GETX,
     INV,
     INV_ACK,
-    CLASS_OF,
     ProtocolError,
     PUTX,
+    READABLE,
     ST_E,
     ST_I,
     ST_IM,
@@ -54,8 +54,7 @@ def directory(node=0, n=4):
 
 
 def msg(mtype, src, dst, addr=A, **kw):
-    return Message(mtype, CLASS_OF[mtype], kw.pop("crit", False), 8, src, dst,
-                   addr, **kw)
+    return Message(mtype, kw.pop("crit", False), 8, src, dst, addr, **kw)
 
 
 def test_home_node_interleaving():
@@ -100,8 +99,8 @@ def test_owner_serves_fwd_gets_and_keeps_ownership():
     c.load(A, False)
     c.handle(msg(DATA_DIR, 0, 1, value=7, acks=0, excl=True))
     c.store(A, False, 11)                    # E -> M silently
-    events, out = c.handle(msg(FWD_GETS, 0, 1, requester=3))
-    assert c.state_of(A) == ST_O
+    out, done = c.handle(msg(FWD_GETS, 0, 1, requester=3))
+    assert c.state_of(A) == ST_O and done is None
     assert out[0].mtype == DATA_OWNER and out[0].dst == 3
     assert out[0].value == 11
 
@@ -110,21 +109,21 @@ def test_owner_yields_on_fwd_getx():
     c = cache()
     c.load(A, False)
     c.handle(msg(DATA_DIR, 0, 1, value=7, acks=0, excl=True))
-    events, out = c.handle(msg(FWD_GETX, 0, 1, requester=3, acks=2))
+    out, _ = c.handle(msg(FWD_GETX, 0, 1, requester=3, acks=2))
     assert c.state_of(A) == ST_I
     assert out[0].mtype == DATA_OWNER and out[0].dst == 3
     assert out[0].acks == 2                  # ack count relayed
-    assert ("invalidated", A) in events
+    assert c.state_of(A) not in READABLE     # the block left
 
 
 def test_sharer_invalidation_acks_requester():
     c = cache()
     c.load(A, False)
     c.handle(msg(DATA_DIR, 0, 1, value=7, acks=0, excl=False))
-    events, out = c.handle(msg(INV, 0, 1, requester=2))
+    out, _ = c.handle(msg(INV, 0, 1, requester=2))
     assert c.state_of(A) == ST_I
     assert out[0].mtype == INV_ACK and out[0].dst == 2
-    assert ("invalidated", A) in events
+    assert c.state_of(A) not in READABLE     # the block left
 
 
 def test_inv_during_own_upgrade_degrades_sm_to_im():
@@ -139,22 +138,23 @@ def test_inv_during_own_upgrade_degrades_sm_to_im():
 def test_completion_collects_data_then_acks():
     c = cache()
     c.store(A, False, 5)                     # I -> IM
-    ev, out = c.handle(msg(DATA_DIR, 0, 1, value=0, acks=2, excl=True))
+    out, done = c.handle(msg(DATA_DIR, 0, 1, value=0, acks=2, excl=True))
     assert c.state_of(A) == ST_IM            # still waiting for acks
+    assert done is None
     c.handle(msg(INV_ACK, 2, 1))
-    ev, out = c.handle(msg(INV_ACK, 3, 1))
+    out, done = c.handle(msg(INV_ACK, 3, 1))
     assert c.state_of(A) == ST_M
     assert c.blocks[A].data == 5
     assert any(m.mtype == UNBLOCK for m in out)
-    assert any(e[0] == "core_done" for e in ev)
+    assert done == (A, None)                 # a store returns no value
 
 
 def test_acks_may_arrive_before_data():
     c = cache()
     c.store(A, False, 5)
     c.handle(msg(INV_ACK, 2, 1))
-    ev, out = c.handle(msg(DATA_DIR, 0, 1, value=0, acks=1, excl=True))
-    assert c.state_of(A) == ST_M
+    _, done = c.handle(msg(DATA_DIR, 0, 1, value=0, acks=1, excl=True))
+    assert c.state_of(A) == ST_M and done == (A, None)
 
 
 def test_om_owner_serves_forward_then_completes_with_own_data():
@@ -166,7 +166,7 @@ def test_om_owner_serves_forward_then_completes_with_own_data():
     (tier, _), out = c.store(A, False, 21)
     assert tier == "miss" and c.state_of(A) == ST_OM
     # another core's GETX wins first: owner must hand over and fall to IM
-    ev, out = c.handle(msg(FWD_GETX, 0, 1, requester=3, acks=0))
+    out, _ = c.handle(msg(FWD_GETX, 0, 1, requester=3, acks=0))
     assert c.state_of(A) == ST_IM
     assert out[0].value == 20                # pre-upgrade data handed over
 
@@ -178,7 +178,7 @@ def test_om_completes_keeping_own_dirty_data():
     c.store(A, False, 20)
     c.handle(msg(FWD_GETS, 0, 1, requester=2))
     c.store(A, False, 21)                    # OM
-    ev, out = c.handle(msg(DATA_DIR, 0, 1, value=None, acks=1, excl=True))
+    c.handle(msg(DATA_DIR, 0, 1, value=None, acks=1, excl=True))
     c.handle(msg(INV_ACK, 2, 1))
     assert c.state_of(A) == ST_M
     assert c.blocks[A].data == 21            # not clobbered by dir's stale copy
@@ -188,7 +188,7 @@ def test_eviction_writes_back_dirty_and_clean_exclusive():
     c = cache()
     c.load(A, False)
     c.handle(msg(DATA_DIR, 0, 1, value=7, acks=0, excl=True))
-    events, out = c.evict(A)
+    out = c.evict(A)
     assert c.state_of(A) == ST_MI
     assert out[0].mtype == PUTX and out[0].value == 7
     assert not out[0].crit                  # writebacks are never critical
@@ -200,7 +200,7 @@ def test_eviction_of_shared_is_silent():
     c = cache()
     c.load(A, False)
     c.handle(msg(DATA_DIR, 0, 1, value=7, acks=0, excl=False))
-    events, out = c.evict(A)
+    out = c.evict(A)
     assert out == []
     assert c.state_of(A) == ST_I
 

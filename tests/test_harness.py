@@ -5,7 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from camsim.coherence import ST_M, _Block
+from camsim.coherence import (
+    DATA_DIR,
+    FWD_GETS,
+    FWD_GETX,
+    INV,
+    ST_M,
+    ST_MI,
+    ST_O,
+    ST_OI,
+    WB_ACK,
+    _Block,
+    home_node,
+)
 from camsim.harness import (
     Config,
     SimulationError,
@@ -13,6 +25,7 @@ from camsim.harness import (
     SweepRow,
     UsageError,
     _EV_CORE,
+    _EV_ISSUE,
     _R_CORE,
     compute_speedup,
     config_id_of,
@@ -22,6 +35,7 @@ from camsim.harness import (
     run_simulation,
     run_sweep,
 )
+from camsim.network import Message
 from camsim.topology import ConfigError, TOPOLOGY_KINDS
 
 
@@ -176,6 +190,68 @@ def test_stray_core_done_raises(held):
                        % re.escape(repr(held))):
         sim._finish_core_op(1, 0x40, 0)
     assert sim.core_op[1] == held and not sim.evq
+
+
+# -- waiting cores: spin loads on a held lock, requests behind a writeback
+
+LOCK = 0x80                              # homed at node 2 of 4
+
+
+def to_node1(mtype, **kw):
+    """A message from LOCK's home to node 1, on behalf of node 3."""
+    return Message(mtype, False, 8, home_node(LOCK, 4), 1, LOCK,
+                   requester=3, **kw)
+
+
+def waiting_core(op, state):
+    """Node 1 holds LOCK = 1 in `state` and its core has issued `op` on
+    it; returns the simulator, with the core waiting."""
+    sim = Simulator(small_cfg())
+    cache = sim.caches[1]
+    cache.load(LOCK, False)
+    cache.handle(to_node1(DATA_DIR, value=1, excl=state != "S"))
+    if state in ("M", "MI"):
+        cache.store(LOCK, False, 1)
+    if state == "MI":
+        cache.evict(LOCK)
+    sim.core_op[1] = (op, LOCK, None, False)
+    sim._issue_mem(1)
+    assert sim.waiting[1] == LOCK and not sim.evq
+    sim.cycle = 100
+    return sim
+
+
+def reissues(sim):
+    return [(ev[0], ev[4]) for ev in sim.evq if ev[3] == _EV_ISSUE]
+
+
+@pytest.mark.parametrize("state", ["E", "M"])
+def test_spinner_waits_while_its_copy_stays_readable(state):
+    sim = waiting_core("spin", state)
+    sim._process_cache(to_node1(FWD_GETS))
+    assert sim.caches[1].state_of(LOCK) == ST_O
+    assert sim.waiting[1] == LOCK and reissues(sim) == []
+
+
+@pytest.mark.parametrize("mtype,state", [(INV, "S"), (FWD_GETX, "E"),
+                                         (FWD_GETX, "M")])
+def test_spinner_reissued_when_its_copy_is_taken(mtype, state):
+    sim = waiting_core("spin", state)
+    # a message for another block leaves the spinner waiting
+    sim._process_cache(Message(INV, False, 8, 0, 1, 0x40, requester=3))
+    assert reissues(sim) == []
+    sim._process_cache(to_node1(mtype, acks=0))
+    assert sim.waiting[1] is None and reissues(sim) == [(101, 1)]
+
+
+def test_stalled_request_reissued_after_its_writeback():
+    sim = waiting_core("load", "MI")
+    assert sim.caches[1].state_of(LOCK) == ST_MI
+    sim._process_cache(to_node1(FWD_GETS))    # the writeback still holds it
+    assert sim.caches[1].state_of(LOCK) == ST_OI
+    assert sim.waiting[1] == LOCK and reissues(sim) == []
+    sim._process_cache(to_node1(WB_ACK))
+    assert sim.waiting[1] is None and reissues(sim) == [(101, 1)]
 
 
 def test_trace_file_closed_when_run_fails(tmp_path):

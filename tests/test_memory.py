@@ -10,7 +10,7 @@ from camsim.coherence import (
     DirectoryController,
 )
 from camsim.harness import Config, Simulator
-from camsim.network import Message, REQUEST, RESPONSE
+from camsim.network import Message
 
 
 def spy_on_queueing(sim):
@@ -55,10 +55,10 @@ def test_unblock_installs_final_sharers_by_identity():
     e = d.entry(addr)
     e.state = DIR_S
     e.sharers = frozenset({2, 3})
-    d.handle(Message(GETS, REQUEST, False, 0, 1, 0, addr, 1))
+    d.handle(Message(GETS, False, 0, 1, 0, addr, 1))
     final = e.busy[3]
     assert final == {1, 2, 3} and type(final) is frozenset
-    d.handle(Message(UNBLOCK, RESPONSE, False, 0, 1, 0, addr, 1))
+    d.handle(Message(UNBLOCK, False, 0, 1, 0, addr, 1))
     assert e.sharers is final
 
 

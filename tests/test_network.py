@@ -5,21 +5,21 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from camsim.coherence import CLASS_OF, DATA_DIR, GETS
-from camsim.network import (
+from camsim.coherence import (
+    CLASS_OF,
+    DATA_DIR,
     FORWARD,
-    Message,
-    Network,
+    GETS,
     REQUEST,
     RESPONSE,
-    serialization_cycles,
     vnet_of,
 )
+from camsim.network import Message, Network, serialization_cycles
 from camsim.topology import build_topology
 
 
 def mk_msg(mtype=GETS, crit=False, size=8, src=0, dst=1, addr=0):
-    return Message(mtype, CLASS_OF[mtype], crit, size, src, dst, addr)
+    return Message(mtype, crit, size, src, dst, addr)
 
 
 def test_vnet_table():
@@ -92,24 +92,25 @@ def drive(net, cyc=0, skip=True):
 def test_inject_routes_and_vnet():
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
-    net.inject(m, 0)
+    net.inject(m)
     li = first_link(topo)
     assert m.route == tuple(topo.links[l] for l in topo.route(0, 5))
-    assert m.vnet == 0
+    assert vnet_of(CLASS_OF[m.mtype], m.crit) == 0
     assert net.bufs[li][0][0] is m                 # non-critical lane
     mc = mk_msg(DATA_DIR, crit=True, size=72, src=0, dst=5)
-    assert mc.vnet == vnet_of(RESPONSE, True) == 5
+    vnet = vnet_of(CLASS_OF[mc.mtype], mc.crit)
+    assert vnet == vnet_of(RESPONSE, True) == 5
     with pytest.raises(AttributeError):
-        mc.vnet = 2                                # derived from cls, crit
-    net.inject(mc, 0)
+        mc.vnet = 2                                # derived, never stored
+    net.inject(mc)
     assert net.bufs[li][1][0] is mc                # critical lane
 
 
 def test_same_cycle_injections_keep_order():
     topo, net = crossbar_net()
     a, b = mk_msg(src=0, dst=5), mk_msg(src=0, dst=6)
-    net.inject(a, 0)
-    net.inject(b, 0)
+    net.inject(a)
+    net.inject(b)
     assert a.stamp < b.stamp
     li = first_link(topo)
     assert list(net.bufs[li][0]) == [a, b]
@@ -119,8 +120,8 @@ def test_priority_selects_critical_when_cam_on():
     topo, net = crossbar_net(cam=True)
     a = mk_msg(src=0, dst=5)                       # noncrit, queued first
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(a, 0)
-    net.inject(b, 0)
+    net.inject(a)
+    net.inject(b)
     li = first_link(topo)
     cycle(net, 0)
     assert not net.bufs[li][1]                     # b won the link
@@ -131,8 +132,8 @@ def test_baseline_selects_oldest_regardless_of_vnet():
     topo, net = crossbar_net(cam=False)
     a = mk_msg(src=0, dst=5)
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(a, 0)
-    net.inject(b, 0)
+    net.inject(a)
+    net.inject(b)
     li = first_link(topo)
     cycle(net, 0)
     assert not net.bufs[li][0]                     # a won the link
@@ -145,7 +146,7 @@ def test_arbitrate_empty_returns_none():
     net.step(0)
     assert net.busy_until == [0] * net.n_links
     assert net.idle()
-    net.inject(mk_msg(src=0, dst=5), 1)
+    net.inject(mk_msg(src=0, dst=5))
     cycle(net, 1)
     li = first_link(topo)
     # only the link that had a message queued was arbitrated
@@ -159,8 +160,8 @@ def test_link_busy_during_serialization():
     topo, net = crossbar_net()
     big = mk_msg(size=72, src=0, dst=5)
     small = mk_msg(src=0, dst=6)
-    net.inject(big, 0)
-    net.inject(small, 0)
+    net.inject(big)
+    net.inject(small)
     li = first_link(topo)
     cycle(net, 0)                                  # big wins
     assert net.busy_until[li] == 6
@@ -177,12 +178,12 @@ def test_contention_sample():
     # step samples contention before it arbitrates
     topo, net = crossbar_net()
     li = first_link(topo)
-    net.inject(mk_msg(src=0, dst=5), 0)
+    net.inject(mk_msg(src=0, dst=5))
     cycle(net, 0)
     assert net.contention_cycles[li] == 0          # one side only
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(mk_msg(src=0, dst=5), 1)
-    net.inject(b, 1)
+    net.inject(mk_msg(src=0, dst=5))
+    net.inject(b)
     cycle(net, 1)
     assert net.contention_cycles[li] == 1
     cycle(net, 2)                                  # only b is left queued
@@ -196,9 +197,9 @@ def test_skipped_busy_cycles_accrue_contention():
     for skip in (True, False):
         topo, net = crossbar_net()
         li = first_link(topo)
-        net.inject(mk_msg(size=72, src=0, dst=5), 0)
-        net.inject(mk_msg(src=0, dst=6), 0)
-        net.inject(mk_msg(src=0, dst=6, crit=True), 0)
+        net.inject(mk_msg(size=72, src=0, dst=5))
+        net.inject(mk_msg(src=0, dst=6))
+        net.inject(mk_msg(src=0, dst=6, crit=True))
         cycle(net, 0)
         assert net.wake == 6
         if skip:
@@ -226,7 +227,7 @@ def test_skipping_matches_per_cycle_stepping():
             m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)),
                        crit=rng.random() < 0.4)
             rank[id(m)] = i
-            net.inject(m, 0)
+            net.inject(m)
         got = drive(net, 0, skip)
         results.append(({c: [rank[id(m)] for m in ms]
                          for c, ms in got.items()},
@@ -242,7 +243,7 @@ def test_two_hop_delivery_timing():
     # returned by land(4), the cycle the simulator processes it.
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
-    net.inject(m, 0)
+    net.inject(m)
     delivered = {}
     for cyc in range(0, 10):
         for msg in cycle(net, cyc):
@@ -255,8 +256,8 @@ def test_two_hop_delivery_timing():
 def test_messages_on_disjoint_links_progress_together():
     topo, net = crossbar_net()
     a, b = mk_msg(src=0, dst=5), mk_msg(src=1, dst=6)
-    net.inject(a, 0)
-    net.inject(b, 0)
+    net.inject(a)
+    net.inject(b)
     seen = []
     for cyc in range(0, 10):
         seen.extend(cycle(net, cyc))
@@ -271,7 +272,7 @@ def test_conservation_and_fifo_per_vnet():
     for i in range(200):
         src, dst = rng.sample(range(16), 2)
         m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)))
-        net.inject(m, 0)
+        net.inject(m)
         sent.append(m)
     got = [m for ms in drive(net).values() for m in ms]
     assert len(got) == len(sent)
@@ -287,9 +288,11 @@ def test_conservation_and_fifo_per_vnet():
 def test_utilization_bounded():
     topo, net = crossbar_net()
     for i in range(10):
-        net.inject(mk_msg(size=72, src=0, dst=5), 0)
+        net.inject(mk_msg(size=72, src=0, dst=5))
     got = drive(net)
     end = max(got)
-    net.finalize(end)
+    # the last landing is at or after every link's release, so no busy
+    # credit extends past the end
     for li in range(net.n_links):
+        assert net.busy_until[li] <= end
         assert 0 <= net.busy_cycles[li] <= end
