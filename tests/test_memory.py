@@ -1,4 +1,5 @@
-"""Directory entries stay compact: memory per block a run has touched."""
+"""Memory stays compact: per directory block a run has touched, per
+simulator constructed, and per state the model checker has visited."""
 
 import tracemalloc
 from collections import deque
@@ -10,6 +11,7 @@ from camsim.coherence import (
     DirectoryController,
 )
 from camsim.harness import Config, Simulator
+from camsim.modelcheck import run_check
 from camsim.network import Message
 
 
@@ -105,3 +107,15 @@ def test_program_memory_independent_of_iters():
     one = traced_construction(iters=1, **PRESET_CELL)
     eight = traced_construction(iters=8, **PRESET_CELL)
     assert eight - one < 64 << 10, (one, eight)
+
+
+def test_checker_keeps_little_per_visited_state():
+    # a visited set of full nested-tuple encodings peaked at about 1.5 kB
+    # per state; a tuple of interned part ids peaks at about 230 B
+    tracemalloc.start()
+    try:
+        result = run_check(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / result.states <= 400, (peak, result.states)

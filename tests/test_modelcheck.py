@@ -1,12 +1,12 @@
-"""Exhaustive protocol exploration at small depths (full depth runs in
-the acceptance suite)."""
+"""Exhaustive protocol exploration up to depth 7 (the acceptance suite
+runs depth 6), and the visited-state keys that deduplicate it."""
 
 import copy
 from collections import deque
 
 from camsim.coherence import _Block, _DirEntry, _Txn
 from camsim.memhier import CacheGeometry
-from camsim.modelcheck import _System, run_check
+from camsim.modelcheck import _System, _Visited, run_check
 from camsim.network import Message
 
 
@@ -18,6 +18,8 @@ PINNED = {
     3: (660, 63, 1180),
     4: (2631, 168, 5016),
     5: (8508, 383, 17048),
+    6: (22903, 768, 47470),
+    7: (53378, 1397, 113738),
 }
 
 
@@ -42,6 +44,30 @@ def test_depth_five_clean():
     assert counts(5) == PINNED[5]
 
 
+def test_depth_six_clean():
+    assert counts(6) == PINNED[6]
+
+
+def test_depth_seven_clean():
+    assert counts(7) == PINNED[7]
+
+
+# -- visited keys ------------------------------------------------------------
+
+def test_keys_tell_apart_transaction_crit_and_rmw_bits():
+    state = _System()
+    state.issue(0, "load")
+    visited = _Visited()
+    assert visited.add(state)
+    assert not visited.add(copy.deepcopy(state))
+    for field in ("crit", "rmw"):
+        twin = copy.deepcopy(state)
+        txn = twin.caches[0].txns[0]
+        setattr(txn, field, not getattr(txn, field))
+        assert visited.add(twin), field
+    assert len(visited) == 3
+
+
 # -- cloning -------------------------------------------------------------------
 
 _SHAREABLE = (int, str, type(None), CacheGeometry)
@@ -49,9 +75,11 @@ _TRACKED = (_Block, _Txn, _DirEntry, Message, list, dict, set, deque)
 
 
 def reachable(max_ops):
-    """Every distinct state within `max_ops` operations, in DFS order."""
+    """Every state `run_check` keeps within `max_ops` operations, in DFS
+    order, deduplicated by its visited set."""
     root = _System()
-    seen = {root.encode()}
+    visited = _Visited()
+    visited.add(root)
     stack, states = [root], []
     while stack:
         state = stack.pop()
@@ -59,9 +87,7 @@ def reachable(max_ops):
         for action, arg in state.choices(max_ops):
             succ = copy.deepcopy(state)
             succ.apply(action, arg)
-            key = succ.encode()
-            if key not in seen:
-                seen.add(key)
+            if visited.add(succ):
                 stack.append(succ)
     return states
 
