@@ -216,35 +216,28 @@ class _System:
     def encode(self):
         """Every field that decides future behaviour, as a flat tuple of
         hashable parts: one per cache, then the directory, the channels
-        and the operation bookkeeping.
-
-        An empty container encodes as () without building a list: most
-        states hold no writeback, transaction or message in flight.
-        """
+        and the operation bookkeeping."""
         caches = []
         for c in self.caches:
-            blocks = tuple(sorted([(a, b.state, b.data)
-                                   for a, b in c.blocks.items()])
-                           ) if c.blocks else ()
-            wb = tuple(sorted([(a, b.state, b.data)
-                               for a, b in c.wb.items()])) if c.wb else ()
-            txns = tuple(sorted([
+            blocks = tuple(sorted((a, b.state, b.data)
+                                  for a, b in c.blocks.items()))
+            wb = tuple(sorted((a, b.state, b.data) for a, b in c.wb.items()))
+            txns = tuple(sorted(
                 (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
                  t.acks_got, t.data, t.excl, t.store_value, t.from_state)
-                for a, t in c.txns.items()])) if c.txns else ()
-            l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items()
-                               if w])) if c.l2.sets else ()
+                for a, t in c.txns.items()))
+            l2 = tuple(sorted((i, tuple(w)) for i, w in c.l2.sets.items() if w))
             caches.append((blocks, wb, txns, l2))
-        entries = tuple(sorted([
+        entries = tuple(sorted(
             (a, e.state, e.owner, tuple(sorted(e.sharers)),
              e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
                                             tuple(sorted(e.busy[3]))),
-             tuple([self._enc_msg(p) for p in e.pending or ()]))
-            for a, e in self.dir.entries.items()])) if self.dir.entries else ()
-        mem = tuple(sorted(self.dir.memory.items())) if self.dir.memory else ()
-        chans = tuple(sorted([
-            (k, tuple([self._enc_msg(m) for m in v]))
-            for k, v in self.channels.items()])) if self.channels else ()
+             tuple(self._enc_msg(p) for p in e.pending or ()))
+            for a, e in self.dir.entries.items()))
+        mem = tuple(sorted(self.dir.memory.items()))
+        chans = tuple(sorted(
+            (k, tuple(self._enc_msg(m) for m in v))
+            for k, v in self.channels.items()))
         return (*caches, (entries, mem), chans,
                 (tuple(self.outstanding), self.ops_used, self.next_value,
                  self.last_store))
