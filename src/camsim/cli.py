@@ -9,6 +9,7 @@ seed any Config field; command-line flags override it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -110,13 +111,29 @@ def make_config(args):
     return Config(**values)
 
 
+def _check_writable(path):
+    """Raise OSError unless `path` opens for writing; creates nothing."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
         cfg.validate()
+        # a bad destination is reported now, not after a long run
+        for path in (args.out, cfg.trace_file):
+            if path:
+                _check_writable(path)
     except (ConfigError, TypeError) as exc:
         print("camsim: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("camsim: cannot open %r: %s" % (exc.filename, exc.strerror),
+              file=sys.stderr)
         return 2
 
     # a config validate() accepts can still fail to build its program

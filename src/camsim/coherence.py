@@ -25,8 +25,8 @@ the front of the queue.
 Directory entries are compact, because a run creates one for every block
 ever requested. Sharer sets are immutable frozensets (every empty one is
 `_NO_SHARERS`), so an unblock installs the Busy state's final sharers as
-they are and a checker clone shares them. The pending queue is created
-only when a request first has to wait.
+they are. The pending queue is created only when a request first has to
+wait.
 
 Criticality: every message of a transaction carries the crit bit of the
 core request that started it; forwards and invalidations always inherit
@@ -102,7 +102,7 @@ class ProtocolError(AssertionError):
                          % (node, addr, state_name, detail))
 
 
-def home_node(addr, n_nodes, block_bytes=64):
+def home_node(addr, n_nodes, block_bytes):
     """Block-interleaved home: (addr >> log2(block)) mod n_nodes."""
     return (addr // block_bytes) % n_nodes
 
@@ -173,12 +173,6 @@ class _Block:
         self.state = state
         self.data = data
 
-    def __deepcopy__(self, memo):
-        twin = _Block.__new__(_Block)
-        twin.state = self.state
-        twin.data = self.data
-        return twin
-
 
 class _Txn:
     """In-flight request bookkeeping (one per blocked core, at most)."""
@@ -200,22 +194,6 @@ class _Txn:
         self.data = None
         self.excl = False
         self.txn_id = txn_id
-
-    def __deepcopy__(self, memo):
-        # every field is an int, bool, str, None or a tuple of those
-        twin = _Txn.__new__(_Txn)
-        twin.kind = self.kind
-        twin.crit = self.crit
-        twin.from_state = self.from_state
-        twin.store_value = self.store_value
-        twin.rmw = self.rmw
-        twin.waiting_data = self.waiting_data
-        twin.acks_needed = self.acks_needed
-        twin.acks_got = self.acks_got
-        twin.data = self.data
-        twin.excl = self.excl
-        twin.txn_id = self.txn_id
-        return twin
 
 
 class _Pinned:
@@ -252,21 +230,6 @@ class CacheController:
         self.trace = trace
         self._txn_serial = 0
         self._block_bytes = l2_geom.block_bytes
-
-    def __deepcopy__(self, memo):
-        """Structural copy for the model checker; `trace` is shared."""
-        twin = CacheController.__new__(CacheController)
-        twin.node = self.node
-        twin.n_nodes = self.n_nodes
-        twin.l1 = self.l1.__deepcopy__(memo)
-        twin.l2 = self.l2.__deepcopy__(memo)
-        twin.blocks = {a: b.__deepcopy__(memo) for a, b in self.blocks.items()}
-        twin.wb = {a: b.__deepcopy__(memo) for a, b in self.wb.items()}
-        twin.txns = {a: t.__deepcopy__(memo) for a, t in self.txns.items()}
-        twin.trace = self.trace
-        twin._txn_serial = self._txn_serial
-        twin._block_bytes = self._block_bytes
-        return twin
 
     # -- helpers -------------------------------------------------------------
 
@@ -605,19 +568,6 @@ class _DirEntry:
         self.busy = None       # (requester, final_state, final_owner, final_sharers)
         self.pending = None    # deque of queued requests, made on first use
 
-    def __deepcopy__(self, memo):
-        # sharers and busy are immutable all the way down, so they are
-        # shared; a drained queue is dropped rather than shared
-        twin = _DirEntry.__new__(_DirEntry)
-        twin.state = self.state
-        twin.owner = self.owner
-        twin.sharers = self.sharers
-        twin.busy = self.busy
-        pending = self.pending
-        twin.pending = (deque(m.__deepcopy__(memo) for m in pending)
-                        if pending else None)
-        return twin
-
 
 class DirectoryController:
     """Home-node directory slice with a blocking per-block transaction queue."""
@@ -628,17 +578,6 @@ class DirectoryController:
         self.memory = {}  # block addr -> data token (sparse, default 0)
         self.entries = {}
         self.trace = trace
-
-    def __deepcopy__(self, memo):
-        """Structural copy for the model checker; `trace` is shared."""
-        twin = DirectoryController.__new__(DirectoryController)
-        twin.node = self.node
-        twin.n_nodes = self.n_nodes
-        twin.memory = dict(self.memory)
-        twin.entries = {a: e.__deepcopy__(memo)
-                        for a, e in self.entries.items()}
-        twin.trace = self.trace
-        return twin
 
     def entry(self, addr):
         e = self.entries.get(addr)

@@ -612,7 +612,7 @@ def run_sweep(deltas, base=None, parallel=None):
     controlled by the sweep itself: each delta produces a cam=off and a
     cam=on run. Runs execute in parallel processes when `parallel` > 1.
     Raises UsageError before any run if two runs would share a config id
-    (rows are keyed by it) or a trace file.
+    (the id names a CSV row) or a trace file.
     """
     base = base or Config()
     cfgs = []
@@ -639,18 +639,16 @@ def run_sweep(deltas, base=None, parallel=None):
     else:
         results = [_run_for_pool(p) for p in payloads]
 
-    by_id = {cid: (stats, err) for cid, stats, err in results}
     rows = []
-    for cid in sorted(by_id):
-        stats, err = by_id[cid]
-        rows.append(SweepRow(cid, stats, None, err))
-    # attach speedups to cam rows with a matching healthy baseline
-    for row in rows:
-        if row.stats is not None and row.stats.cam:
-            base_id = row.config_id[:-3] + "base"
-            mate = by_id.get(base_id)
-            if mate and mate[0] is not None:
-                row.speedup = compute_speedup(mate[0], row.stats)
+    # results keep the order of cfgs: a baseline run, then its CAM mate;
+    # the CAM row gets a speedup when both runs are healthy
+    pairs = iter(results)
+    for (base_id, base, base_err), (cam_id, cam, cam_err) in zip(pairs, pairs):
+        speedup = (compute_speedup(base, cam)
+                   if base is not None and cam is not None else None)
+        rows.append(SweepRow(base_id, base, None, base_err))
+        rows.append(SweepRow(cam_id, cam, speedup, cam_err))
+    rows.sort(key=lambda row: row.config_id)
     return rows
 
 

@@ -47,15 +47,6 @@ class CacheArray:
         self._block_bytes = geometry.block_bytes
         self._n_sets = geometry.n_sets
 
-    def __deepcopy__(self, memo):
-        # the geometry is frozen and shared; only the tag lists are copied
-        twin = CacheArray.__new__(CacheArray)
-        twin.geometry = self.geometry
-        twin.sets = {i: ways[:] for i, ways in self.sets.items()}
-        twin._block_bytes = self._block_bytes
-        twin._n_sets = self._n_sets
-        return twin
-
     def _split(self, addr):
         block = addr // self._block_bytes
         return block // self._n_sets, block % self._n_sets

@@ -18,9 +18,12 @@ authoritative data token must equal the value of the most recently
 completed store. Any ProtocolError raised by the controllers is a
 failure.
 
-Successor states are cloned with `copy.deepcopy`, which dispatches to the
-structural `__deepcopy__` that every piece of checker state defines next
-to its fields.
+Successor states are cloned with `copy.deepcopy`, which calls
+`_System.__deepcopy__`; it and the `_clone_*` helpers next to `encode()`
+copy the whole state, so this module alone says what a checker state is.
+Channel lists and pending queues are copied but the messages in them are
+shared: only the timed simulator writes a message after it is built (its
+size, route, hop and stamp), and the checker never does.
 
 Visited states are keyed by interned parts (collapse compression, as in
 SPIN: Holzmann 1997). `_System.encode()` returns a flat tuple of parts,
@@ -37,6 +40,7 @@ by the encoding itself.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass
 
 from .coherence import (
@@ -47,11 +51,14 @@ from .coherence import (
     DirectoryController,
     ProtocolError,
     ST_S,
+    _Block,
+    _DirEntry,
+    _Txn,
     block_value,
     check_swmr,
     vnet_of,
 )
-from .memhier import CacheGeometry
+from .memhier import CacheArray, CacheGeometry
 
 
 _BLOCK = 0          # the single block under test, homed at node 0
@@ -84,16 +91,11 @@ class _System:
         self.last_store = 0
 
     def __deepcopy__(self, memo):
-        """Copy every mutable part, calling each child's copy directly.
-
-        No object appears twice within one state, so `memo` is passed
-        along but never consulted.
-        """
+        # no object appears twice within one state, so `memo` is unused
         twin = _System.__new__(_System)
-        twin.caches = [c.__deepcopy__(memo) for c in self.caches]
-        twin.dir = self.dir.__deepcopy__(memo)
-        twin.channels = {k: [m.__deepcopy__(memo) for m in v]
-                         for k, v in self.channels.items()}
+        twin.caches = [_clone_cache(c) for c in self.caches]
+        twin.dir = _clone_dir(self.dir)
+        twin.channels = {k: v[:] for k, v in self.channels.items()}
         twin.outstanding = self.outstanding[:]   # entries are tuples or None
         twin.ops_used = self.ops_used
         twin.next_value = self.next_value
@@ -243,8 +245,69 @@ class _System:
                  self.last_store))
 
 
-def _clone(sys):
-    return copy.deepcopy(sys)
+# -- cloning -------------------------------------------------------------------
+# None of these calls `copy.deepcopy`: a clone is one outermost call.
+
+def _clone_array(arr):
+    # the geometry is frozen and shared; only the tag lists are copied
+    twin = CacheArray.__new__(CacheArray)
+    twin.geometry = arr.geometry
+    twin.sets = {i: ways[:] for i, ways in arr.sets.items()}
+    twin._block_bytes = arr._block_bytes
+    twin._n_sets = arr._n_sets
+    return twin
+
+
+def _clone_txn(txn):
+    # every field is an int, bool, str or None
+    twin = _Txn.__new__(_Txn)
+    twin.kind = txn.kind
+    twin.crit = txn.crit
+    twin.from_state = txn.from_state
+    twin.store_value = txn.store_value
+    twin.rmw = txn.rmw
+    twin.waiting_data = txn.waiting_data
+    twin.acks_needed = txn.acks_needed
+    twin.acks_got = txn.acks_got
+    twin.data = txn.data
+    twin.excl = txn.excl
+    twin.txn_id = txn.txn_id
+    return twin
+
+
+def _clone_cache(cache):
+    # `trace` is shared
+    twin = CacheController.__new__(CacheController)
+    twin.node = cache.node
+    twin.n_nodes = cache.n_nodes
+    twin.l1 = _clone_array(cache.l1)
+    twin.l2 = _clone_array(cache.l2)
+    twin.blocks = {a: _Block(b.state, b.data) for a, b in cache.blocks.items()}
+    twin.wb = {a: _Block(b.state, b.data) for a, b in cache.wb.items()}
+    twin.txns = {a: _clone_txn(t) for a, t in cache.txns.items()}
+    twin.trace = cache.trace
+    twin._txn_serial = cache._txn_serial
+    twin._block_bytes = cache._block_bytes
+    return twin
+
+
+def _clone_dir(directory):
+    # `trace` is shared, and so are each entry's sharers and busy, which
+    # are immutable all the way down; a drained queue becomes None
+    twin = DirectoryController.__new__(DirectoryController)
+    twin.node = directory.node
+    twin.n_nodes = directory.n_nodes
+    twin.memory = dict(directory.memory)
+    twin.entries = entries = {}
+    for a, e in directory.entries.items():
+        ent = entries[a] = _DirEntry.__new__(_DirEntry)
+        ent.state = e.state
+        ent.owner = e.owner
+        ent.sharers = e.sharers
+        ent.busy = e.busy
+        ent.pending = deque(e.pending) if e.pending else None
+    twin.trace = directory.trace
+    return twin
 
 
 class _Visited:
@@ -296,7 +359,7 @@ def run_check(max_ops=6):
                 raise CheckFailure("invariant violation: %s"
                                    % "; ".join(problems))
         for action, arg in sys.choices(max_ops):
-            succ = _clone(sys)
+            succ = copy.deepcopy(sys)
             try:
                 succ.apply(action, arg)
             except ProtocolError as exc:

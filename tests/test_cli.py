@@ -83,3 +83,44 @@ def test_program_too_large_reported(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("camsim: address map needs")
         assert captured.out == ""
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a simulation ran")
+
+
+def test_unwritable_out_reported_before_running(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    dest = tmp_path / "missing-dir" / "run.csv"
+    rc = main(["--procs", "4", "--counters", "4", "--out", str(dest)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "camsim: cannot open %r: No such file" % str(dest))
+
+
+def test_unwritable_trace_reported_before_running(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    rc = main(["--procs", "4", "--counters", "4", "--trace", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "camsim: cannot open %r: Is a directory" % str(tmp_path))
+
+
+def test_writable_destinations_are_not_created_by_the_check(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    out, trace = tmp_path / "run.csv", tmp_path / "trace.log"
+    with pytest.raises(AssertionError, match="a simulation ran"):
+        main(["--procs", "4", "--counters", "4", "--out", str(out),
+              "--trace", str(trace)])
+    assert not out.exists() and not trace.exists()
+
+
+def test_missing_config_file_reported(tmp_path, capsys):
+    cfgfile = tmp_path / "missing.cfg"
+    rc = main(["--config", str(cfgfile)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "camsim: cannot open %r: No such file" % str(cfgfile))

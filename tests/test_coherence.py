@@ -58,9 +58,9 @@ def msg(mtype, src, dst, addr=A, **kw):
 
 
 def test_home_node_interleaving():
-    assert home_node(0x40, 16) == 1
-    assert home_node(0x0, 16) == 0
-    assert home_node(0x1003F, 16) == home_node(0x10000, 16)
+    assert home_node(0x40, 16, 64) == 1
+    assert home_node(0x0, 16, 64) == 0
+    assert home_node(0x1003F, 16, 64) == home_node(0x10000, 16, 64)
 
 
 def test_load_miss_sends_gets_and_goes_is():
@@ -69,7 +69,7 @@ def test_load_miss_sends_gets_and_goes_is():
     assert tier == "miss" and val is None
     assert c.state_of(A) == ST_IS
     assert len(out) == 1 and out[0].mtype == GETS and out[0].crit
-    assert out[0].dst == home_node(A, 4)
+    assert out[0].dst == home_node(A, 4, 64)
 
 
 def test_store_on_exclusive_is_silent():

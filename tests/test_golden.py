@@ -27,7 +27,8 @@ EXTRA = (
 
 
 def golden_csv():
-    # run_sweep keys rows by config id, so each extra config is its own sweep
+    # run_sweep rejects two runs with one config id, so each extra config
+    # is its own sweep
     deltas = [dict(topology=t, procs=p) for t in TOPOLOGY_KINDS for p in (4, 8)]
     rows = run_sweep(deltas, base=BASE, parallel=1)
     for delta in EXTRA:

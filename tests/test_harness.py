@@ -199,7 +199,7 @@ LOCK = 0x80                              # homed at node 2 of 4
 
 def to_node1(mtype, **kw):
     """A message from LOCK's home to node 1, on behalf of node 3."""
-    return Message(mtype, False, 8, home_node(LOCK, 4), 1, LOCK,
+    return Message(mtype, False, 8, home_node(LOCK, 4, 64), 1, LOCK,
                    requester=3, **kw)
 
 

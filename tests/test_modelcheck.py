@@ -4,8 +4,14 @@ runs depth 6), and the visited-state keys that deduplicate it."""
 import copy
 from collections import deque
 
-from camsim.coherence import _Block, _DirEntry, _Txn
-from camsim.memhier import CacheGeometry
+from camsim.coherence import (
+    CacheController,
+    DirectoryController,
+    _Block,
+    _DirEntry,
+    _Txn,
+)
+from camsim.memhier import CacheArray, CacheGeometry
 from camsim.modelcheck import _System, _Visited, run_check
 from camsim.network import Message
 
@@ -71,39 +77,37 @@ def test_keys_tell_apart_transaction_crit_and_rmw_bits():
 # -- cloning -------------------------------------------------------------------
 
 _SHAREABLE = (int, str, type(None), CacheGeometry)
-_TRACKED = (_Block, _Txn, _DirEntry, Message, list, dict, set, deque)
+# messages are shared by design; these never are
+_NEVER_SHARED = (_Block, _Txn, _DirEntry, list, dict, set, deque)
 
 
 def reachable(max_ops):
-    """Every state `run_check` keeps within `max_ops` operations, in DFS
-    order, deduplicated by its visited set."""
+    """Yield every state `run_check` keeps within `max_ops` operations, in
+    DFS order, deduplicated by its visited set. Each is yielded before any
+    of its successors is built."""
     root = _System()
     visited = _Visited()
     visited.add(root)
-    stack, states = [root], []
+    stack = [root]
     while stack:
         state = stack.pop()
-        states.append(state)
+        yield state
         for action, arg in state.choices(max_ops):
             succ = copy.deepcopy(state)
             succ.apply(action, arg)
             if visited.add(succ):
                 stack.append(succ)
-    return states
 
 
-def tracked_objects(root):
-    """id -> object for every tracked mutable object reachable from root."""
+def reachable_objects(root):
+    """id -> object for every non-shareable object reachable from root."""
     found = {}
-    visited = set()
     todo = [root]
     while todo:
         obj = todo.pop()
-        if isinstance(obj, _SHAREABLE) or id(obj) in visited:
+        if isinstance(obj, _SHAREABLE) or id(obj) in found:
             continue
-        visited.add(id(obj))
-        if isinstance(obj, _TRACKED):
-            found[id(obj)] = obj
+        found[id(obj)] = obj
         if isinstance(obj, dict):
             todo.extend(obj.keys())
             todo.extend(obj.values())
@@ -116,6 +120,10 @@ def tracked_objects(root):
     return found
 
 
+def message_slots(msg):
+    return tuple(getattr(msg, name) for name in Message.__slots__)
+
+
 def snapshot(state):
     return (state.encode(),
             [c._txn_serial for c in state.caches],
@@ -123,15 +131,69 @@ def snapshot(state):
 
 
 def test_clones_share_no_mutable_object_with_their_parent():
-    states = reachable(3)
-    assert len(states) == PINNED[3][0]
-    for parent in states:
+    # every message, with its slots as first seen: this loop applies each
+    # state's transitions before `reachable` does, so before any handler
+    # could have written the message
+    first_seen = {}
+    n_states = 0
+    for parent in reachable(3):
+        n_states += 1
         before = snapshot(parent)
-        parent_objs = tracked_objects(parent)
+        parent_objs = reachable_objects(parent)
+        msgs = [first_seen.setdefault(i, (m, message_slots(m)))
+                for i, m in parent_objs.items() if isinstance(m, Message)]
         for action, arg in parent.choices(3):
             succ = copy.deepcopy(parent)
             assert succ.encode() == before[0]
             succ.apply(action, arg)
             assert snapshot(parent) == before, (action, arg)
-            shared = parent_objs.keys() & tracked_objects(succ).keys()
-            assert not shared, [type(parent_objs[i]).__name__ for i in shared]
+            common = parent_objs.keys() & reachable_objects(succ).keys()
+            shared = [type(parent_objs[i]).__name__ for i in common
+                      if isinstance(parent_objs[i], _NEVER_SHARED)]
+            assert not shared, (action, arg, shared)
+            # a message may be shared because no transition writes one
+            written = [m for m, slots in msgs if message_slots(m) != slots]
+            assert not written, (action, arg, written)
+    assert n_states == PINNED[3][0]
+
+
+def fields(obj):
+    """name -> value of every slot or attribute of obj. A drained
+    directory queue reads as None, which is what a clone makes of it."""
+    cls = type(obj)
+    names = cls.__slots__ if hasattr(cls, "__slots__") else vars(obj)
+    out = {name: getattr(obj, name) for name in names}
+    if isinstance(obj, _DirEntry) and not obj.pending:
+        out["pending"] = None
+    return out
+
+
+def assert_same(a, b, path, seen):
+    """Assert clone `b` equals source `a` field by field, recursively;
+    add every compared object type to `seen`."""
+    assert type(a) is type(b), path
+    seen.add(type(a))
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            assert_same(a[k], b[k], "%s[%r]" % (path, k), seen)
+    elif isinstance(a, (list, tuple, deque)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, "%s[%d]" % (path, i), seen)
+    elif isinstance(a, (int, str, type(None), frozenset, CacheGeometry)):
+        assert a == b, path
+    else:
+        fa, fb = fields(a), fields(b)
+        assert fa.keys() == fb.keys(), path
+        for name in fa:
+            assert_same(fa[name], fb[name], "%s.%s" % (path, name), seen)
+
+
+def test_clones_equal_their_source_field_by_field():
+    seen = set()
+    for state in reachable(3):
+        assert_same(state, copy.deepcopy(state), "state", seen)
+    # every kind of checker state was compared at least once
+    assert {_System, CacheController, CacheArray, _Block, _Txn,
+            DirectoryController, _DirEntry, Message, deque} <= seen
