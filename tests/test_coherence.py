@@ -21,13 +21,16 @@ from camsim.coherence import (
     ProtocolError,
     PUTX,
     READABLE,
+    STATE_NAMES,
     ST_E,
     ST_I,
+    ST_II,
     ST_IM,
     ST_IS,
     ST_M,
     ST_MI,
     ST_O,
+    ST_OI,
     ST_OM,
     ST_S,
     ST_SM,
@@ -218,6 +221,84 @@ def test_protocol_error_on_unexpected_event():
     c = cache()
     with pytest.raises(ProtocolError):
         c.handle(msg(DATA_DIR, 0, 1, value=1, acks=0))
+
+
+# Resident states whose block sits in the L1 and L2 arrays; IS and IM have
+# a block record but no data yet, and MI/OI/II live in the writeback buffer.
+_IN_ARRAYS = (ST_S, ST_E, ST_O, ST_M, ST_SM, ST_OM)
+_IN_WB = (ST_MI, ST_OI, ST_II)
+
+# (message type, state) -> (next state, reply type, trace event); None
+# marks a ProtocolError with the given detail.
+_FORWARD_TABLE = {
+    FWD_GETS: {ST_M: ST_O, ST_E: ST_O, ST_O: ST_O, ST_OM: ST_OM,
+               ST_MI: ST_OI, ST_OI: ST_OI},
+    FWD_GETX: {ST_M: ST_I, ST_E: ST_I, ST_O: ST_I, ST_OM: ST_IM,
+               ST_MI: ST_II, ST_OI: ST_II},
+    # the writeback buffer is not looked at: an INV there is a stale ack
+    INV: {ST_S: ST_I, ST_SM: ST_IM, ST_IS: ST_IS, ST_IM: ST_IM, ST_I: ST_I,
+          ST_MI: ST_MI, ST_OI: ST_OI, ST_II: ST_II},
+}
+_REJECTED = {FWD_GETS: "Fwd_GETS but not owner",
+             FWD_GETX: "Fwd_GETX but not owner",
+             INV: "INV at an ownership state"}
+
+
+def cache_in(state, value=7):
+    """Cache node 1 holding block A in `state`, with L1/L2 residency as the
+    protocol leaves it there, and a recorded trace."""
+    c = cache()
+    if state in _IN_WB:
+        c.wb[A] = _Block(state, value)
+    elif state != ST_I:
+        c.blocks[A] = _Block(state, value)
+        if state in _IN_ARRAYS:
+            c.l2.install(A)
+            c.l1.install(A)
+    c.trace = lambda *event: c.traced.append(event)
+    c.traced = []
+    return c
+
+
+@pytest.mark.parametrize("mtype", sorted(_FORWARD_TABLE))
+@pytest.mark.parametrize("state", range(len(STATE_NAMES)),
+                         ids=STATE_NAMES)
+def test_forward_and_inv_transition_table(mtype, state):
+    c = cache_in(state)
+    m = msg(mtype, 0, 1, requester=3, acks=2 if mtype == FWD_GETX else 0,
+            crit=True, txn=(3, A, 1))
+    nxt = _FORWARD_TABLE[mtype].get(state)
+    if nxt is None:
+        with pytest.raises(ProtocolError) as err:
+            c.handle(m)
+        assert err.value.state_name == STATE_NAMES[state]
+        assert err.value.detail == _REJECTED[mtype]
+        assert c.state_of(A) == state and c.traced == []
+        return
+    out, done = c.handle(m)
+    assert done is None and c.state_of(A) == nxt
+    [reply] = out
+    assert reply.dst == 3 and reply.crit and reply.txn == (3, A, 1)
+    if mtype == INV:
+        assert reply.mtype == INV_ACK
+        assert reply.acks == 0 and reply.value is None
+        event = "inv" if nxt != state else "inv_stale"
+    else:
+        assert reply.mtype == DATA_OWNER
+        assert reply.acks == m.acks and reply.value == 7
+        event = "fwd_gets" if mtype == FWD_GETS else "fwd_getx"
+    if event == "inv_stale":
+        # traced at the resident state; a writeback-buffer copy is not one
+        old = new = ST_I if state in _IN_WB else state
+    else:
+        old, new = state, nxt
+    assert c.traced == [(1, event, A, STATE_NAMES[old], STATE_NAMES[new],
+                         True)]
+    # the arrays keep the block only while it stays readable in place
+    resident = nxt in _IN_ARRAYS and state in _IN_ARRAYS
+    assert c.l1.contains(A) == resident and c.l2.contains(A) == resident
+    assert (A in c.wb) == (nxt in _IN_WB)
+    assert (A in c.blocks) == (nxt not in _IN_WB and nxt != ST_I)
 
 
 # -- directory side ----------------------------------------------------------
