@@ -166,6 +166,25 @@ def check_swmr(caches, addr):
     return problems
 
 
+# Owner replies to a forwarded request: {Fwd type: {owner state: next}}.
+# The owner copy is the resident block, else the writeback-buffer block
+# (MI/OI), which answers from the buffer. An OM owner still holds the
+# valid copy: it serves a reader and keeps waiting for its own upgrade, and
+# on Fwd_GETX it has lost the upgrade race, so it hands over the data and
+# falls back to IM to wait for its own queued GETX.
+_FWD_NEXT = {
+    FWD_GETS: {ST_M: ST_O, ST_E: ST_O, ST_O: ST_O, ST_OM: ST_OM,
+               ST_MI: ST_OI, ST_OI: ST_OI},
+    FWD_GETX: {ST_M: ST_I, ST_E: ST_I, ST_O: ST_I, ST_OM: ST_IM,
+               ST_MI: ST_II, ST_OI: ST_II},
+}
+
+# INV by resident state. A sharer drops its copy, an SM upgrader falls back
+# to IM. IS and IM (the request is still queued at the directory) and I (a
+# silently dropped copy) acknowledge and stand by.
+_INV_NEXT = {ST_S: ST_I, ST_SM: ST_IM, ST_IS: ST_IS, ST_IM: ST_IM, ST_I: ST_I}
+
+
 class _Block:
     __slots__ = ("state", "data")
 
@@ -219,7 +238,7 @@ class CacheController:
     (or upgrades) start network transactions.
     """
 
-    def __init__(self, node, l1_geom, l2_geom, n_nodes, trace=None):
+    def __init__(self, node, l1_geom, l2_geom, n_nodes):
         self.node = node
         self.n_nodes = n_nodes
         self.l1 = CacheArray(l1_geom)
@@ -227,7 +246,7 @@ class CacheController:
         self.blocks = {}     # resident block addr -> _Block
         self.wb = {}         # evicted-but-unacked addr -> _Block (MI/OI/II)
         self.txns = {}       # addr -> _Txn
-        self.trace = trace
+        self.trace = None
         self._txn_serial = 0
         self._block_bytes = l2_geom.block_bytes
 
@@ -254,6 +273,11 @@ class CacheController:
         if self.trace is not None:
             self.trace(self.node, event, addr, STATE_NAMES[old],
                        STATE_NAMES[new], crit)
+
+    def _fail(self, addr, detail):
+        """The ProtocolError for an event `addr`'s state does not allow."""
+        return ProtocolError(self.node, addr,
+                             STATE_NAMES[self.state_of(addr)], detail)
 
     def _home(self, addr):
         return home_node(addr, self.n_nodes, self._block_bytes)
@@ -312,9 +336,7 @@ class CacheController:
 
     def _begin(self, addr, kind, crit, store_value=None, rmw=False):
         if addr in self.txns:
-            raise ProtocolError(self.node, addr,
-                                STATE_NAMES[self.state_of(addr)],
-                                "second outstanding request for the block")
+            raise self._fail(addr, "second outstanding request for the block")
         blk = self.blocks.get(addr)
         old = blk.state if blk is not None else ST_I
         if kind == "gets":
@@ -347,8 +369,7 @@ class CacheController:
         if blk is None:
             return []
         if addr in self.txns:
-            raise ProtocolError(self.node, addr, STATE_NAMES[blk.state],
-                                "eviction while a transaction is in flight")
+            raise self._fail(addr, "eviction while a transaction is in flight")
         self.l1.remove(addr)
         self.l2.remove(addr)
         del self.blocks[addr]
@@ -394,107 +415,61 @@ class CacheController:
         mt = msg.mtype
         if mt == DATA_DIR or mt == DATA_OWNER:
             return self._on_data(msg)
-        if mt == FWD_GETS:
-            return self._on_fwd_gets(msg)
-        if mt == FWD_GETX:
-            return self._on_fwd_getx(msg)
+        if mt == FWD_GETS or mt == FWD_GETX:
+            return self._on_fwd(msg)
         if mt == INV:
             return self._on_inv(msg)
         if mt == INV_ACK:
             return self._on_inv_ack(msg)
         if mt == WB_ACK:
             return self._on_wb_ack(msg)
-        raise ProtocolError(self.node, msg.addr,
-                            STATE_NAMES[self.state_of(msg.addr)],
-                            "cache got %s" % MSG_NAMES[mt])
+        raise self._fail(msg.addr, "cache got %s" % MSG_NAMES[mt])
 
-    def _on_fwd_gets(self, msg):
+    def _on_fwd(self, msg):
         addr = msg.addr
-        crit = msg.crit
-        blk = self.blocks.get(addr)
-        if blk is not None and blk.state in (ST_M, ST_E, ST_O, ST_OM):
-            # An OM owner still holds the valid copy: serve the reader and
-            # keep waiting for its own upgrade.
-            old = blk.state
-            blk.state = ST_OM if old == ST_OM else ST_O
-            self._trace("fwd_gets", addr, old, blk.state, crit)
-            return [_msg(DATA_OWNER, self.node, msg.requester, addr, crit,
-                         value=blk.data, acks=0, txn=msg.txn)], None
-        blk = self.wb.get(addr)
-        if blk is not None and blk.state in (ST_MI, ST_OI):
-            old = blk.state
-            blk.state = ST_OI
-            self._trace("fwd_gets", addr, old, ST_OI, crit)
-            return [_msg(DATA_OWNER, self.node, msg.requester, addr, crit,
-                         value=blk.data, acks=0, txn=msg.txn)], None
-        raise ProtocolError(self.node, addr,
-                            STATE_NAMES[self.state_of(addr)],
-                            "Fwd_GETS but not owner")
-
-    def _on_fwd_getx(self, msg):
-        addr = msg.addr
-        crit = msg.crit
-        blk = self.blocks.get(addr)
-        if blk is not None and blk.state in (ST_M, ST_E, ST_O, ST_OM):
-            old = blk.state
-            data = blk.data
-            self.l1.remove(addr)
-            self.l2.remove(addr)
-            if old == ST_OM:
-                # Lost the upgrade race: hand over the data, fall back to
-                # IM and wait for our own queued GETX to be served.
-                blk.state = ST_IM
-            else:
-                del self.blocks[addr]
-            self._trace("fwd_getx", addr, old,
-                        ST_IM if old == ST_OM else ST_I, crit)
-            reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
-                         value=data, acks=msg.acks, txn=msg.txn)
-            return [reply], None
-        blk = self.wb.get(addr)
-        if blk is not None and blk.state in (ST_MI, ST_OI):
-            old = blk.state
-            blk.state = ST_II
-            self._trace("fwd_getx", addr, old, ST_II, crit)
-            reply = _msg(DATA_OWNER, self.node, msg.requester, addr, crit,
-                         value=blk.data, acks=msg.acks, txn=msg.txn)
-            return [reply], None
-        raise ProtocolError(self.node, addr,
-                            STATE_NAMES[self.state_of(addr)],
-                            "Fwd_GETX but not owner")
+        mt = msg.mtype
+        blk = self.blocks.get(addr) or self.wb.get(addr)
+        old = blk.state if blk is not None else ST_I
+        new = _FWD_NEXT[mt].get(old)
+        if new is None:
+            raise self._fail(addr, "%s but not owner" % MSG_NAMES[mt])
+        self._move(addr, blk, new)
+        self._trace(MSG_NAMES[mt].lower(), addr, old, new, msg.crit)
+        return [_msg(DATA_OWNER, self.node, msg.requester, addr, msg.crit,
+                     value=blk.data, acks=msg.acks, txn=msg.txn)], None
 
     def _on_inv(self, msg):
         addr = msg.addr
-        crit = msg.crit
         blk = self.blocks.get(addr)
-        state = blk.state if blk is not None else ST_I
-        if state == ST_S:
-            self.l1.remove(addr)
-            self.l2.remove(addr)
-            del self.blocks[addr]
-            self._trace("inv", addr, ST_S, ST_I, crit)
-        elif state == ST_SM:
-            blk.state = ST_IM
-            self.l1.remove(addr)
-            self.l2.remove(addr)
-            self._trace("inv", addr, ST_SM, ST_IM, crit)
-        elif state in (ST_IS, ST_IM, ST_I):
-            # Request still queued at the directory, or a silently dropped
-            # copy: acknowledge and stand by.
-            self._trace("inv_stale", addr, state, state, crit)
+        old = blk.state if blk is not None else ST_I
+        new = _INV_NEXT.get(old)
+        if new is None:
+            raise self._fail(addr, "INV at an ownership state")
+        if new == old:
+            self._trace("inv_stale", addr, old, old, msg.crit)
         else:
-            raise ProtocolError(self.node, addr, STATE_NAMES[state],
-                                "INV at an ownership state")
-        ack = _msg(INV_ACK, self.node, msg.requester, addr, crit, txn=msg.txn)
+            self._move(addr, blk, new)
+            self._trace("inv", addr, old, new, msg.crit)
+        ack = _msg(INV_ACK, self.node, msg.requester, addr, msg.crit,
+                   txn=msg.txn)
         return [ack], None
+
+    def _move(self, addr, blk, new):
+        """Put `blk` in state `new`. At I or IM the cache keeps no data, so
+        the block leaves the L1 and L2, and at I the cache."""
+        if new == ST_I or new == ST_IM:
+            self.l1.remove(addr)
+            self.l2.remove(addr)
+            if new == ST_I:
+                del self.blocks[addr]
+                return
+        blk.state = new
 
     def _on_data(self, msg):
         addr = msg.addr
         txn = self.txns.get(addr)
         if txn is None or not txn.waiting_data:
-            raise ProtocolError(self.node, addr,
-                                STATE_NAMES[self.state_of(addr)],
-                                "unexpected %s" % MSG_NAMES[msg.mtype])
+            raise self._fail(addr, "unexpected %s" % MSG_NAMES[msg.mtype])
         txn.waiting_data = False
         txn.data = msg.value
         txn.acks_needed = msg.acks
@@ -505,18 +480,14 @@ class CacheController:
     def _on_inv_ack(self, msg):
         txn = self.txns.get(msg.addr)
         if txn is None:
-            raise ProtocolError(self.node, msg.addr,
-                                STATE_NAMES[self.state_of(msg.addr)],
-                                "InvAck with no transaction")
+            raise self._fail(msg.addr, "InvAck with no transaction")
         txn.acks_got += 1
         return self._maybe_complete(msg.addr)
 
     def _on_wb_ack(self, msg):
         blk = self.wb.pop(msg.addr, None)
         if blk is None or blk.state not in (ST_MI, ST_OI, ST_II):
-            raise ProtocolError(self.node, msg.addr,
-                                STATE_NAMES[self.state_of(msg.addr)],
-                                "WB_Ack with no writeback pending")
+            raise self._fail(msg.addr, "WB_Ack with no writeback pending")
         self._trace("wb_ack", msg.addr, blk.state, ST_I)
         return [], None
 
@@ -572,12 +543,12 @@ class _DirEntry:
 class DirectoryController:
     """Home-node directory slice with a blocking per-block transaction queue."""
 
-    def __init__(self, node, n_nodes, trace=None):
+    def __init__(self, node, n_nodes):
         self.node = node
         self.n_nodes = n_nodes
         self.memory = {}  # block addr -> data token (sparse, default 0)
         self.entries = {}
-        self.trace = trace
+        self.trace = None
 
     def entry(self, addr):
         e = self.entries.get(addr)
@@ -638,30 +609,22 @@ class DirectoryController:
     def _on_gets(self, e, msg):
         addr, req = msg.addr, msg.requester
         old = e.state
-        if old == DIR_I:
-            data = self.memory.get(addr, 0)
-            reply = _msg(DATA_DIR, self.node, req, addr, msg.crit, value=data,
-                         acks=0, excl=True, txn=msg.txn)
-            e.busy = (req, DIR_E, req, _NO_SHARERS)
-            e.state = DIR_BUSY
-            self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [reply], True
-        if old == DIR_S:
-            data = self.memory.get(addr, 0)
-            reply = _msg(DATA_DIR, self.node, req, addr, msg.crit, value=data,
-                         acks=0, excl=False, txn=msg.txn)
-            e.busy = (req, DIR_S, None, e.sharers | {req})
-            e.state = DIR_BUSY
-            self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [reply], True
-        if old in (DIR_E, DIR_O):
-            fwd = _msg(FWD_GETS, self.node, e.owner, addr, msg.crit,
+        used_mem = old == DIR_I or old == DIR_S
+        if used_mem:
+            # memory serves; a first reader is granted exclusive-clean
+            excl = old == DIR_I
+            out = _msg(DATA_DIR, self.node, req, addr, msg.crit,
+                       value=self.memory.get(addr, 0), acks=0, excl=excl,
+                       txn=msg.txn)
+            e.busy = ((req, DIR_E, req, _NO_SHARERS) if excl
+                      else (req, DIR_S, None, e.sharers | {req}))
+        else:
+            out = _msg(FWD_GETS, self.node, e.owner, addr, msg.crit,
                        requester=req, txn=msg.txn)
             e.busy = (req, DIR_O, e.owner, e.sharers | {req})
-            e.state = DIR_BUSY
-            self._trace("gets", addr, old, DIR_BUSY, msg.crit)
-            return [fwd], False
-        raise ProtocolError(self.node, addr, DIR_NAMES[old], "GETS mishandled")
+        e.state = DIR_BUSY
+        self._trace("gets", addr, old, DIR_BUSY, msg.crit)
+        return [out], used_mem
 
     def _on_getx(self, e, msg):
         addr, req = msg.addr, msg.requester
@@ -672,31 +635,19 @@ class DirectoryController:
         # permanently favor some nodes and starve the rest.
         invs = sorted(e.sharers - {req},
                       key=lambda s: (s - req - 1) % self.n_nodes)
-        out = []
-        used_mem = False
-        if old == DIR_I:
-            out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
-                            value=self.memory.get(addr, 0), acks=0,
-                            excl=True, txn=msg.txn))
-            used_mem = True
-        elif old == DIR_S:
-            out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
-                            value=self.memory.get(addr, 0),
-                            acks=len(invs), excl=True, txn=msg.txn))
-            used_mem = True
-        elif old in (DIR_E, DIR_O):
-            if e.owner == req:
-                # Upgrade by the owner itself: no data transfer needed.
-                out.append(_msg(DATA_DIR, self.node, req, addr, msg.crit,
-                                value=None, acks=len(invs), excl=True,
-                                txn=msg.txn))
-            else:
-                out.append(_msg(FWD_GETX, self.node, e.owner, addr, msg.crit,
-                                requester=req, acks=len(invs),
-                                txn=msg.txn))
+        used_mem = old == DIR_I or old == DIR_S
+        if used_mem:
+            # memory serves; an Invalid entry has no sharers, so no acks
+            out = [_msg(DATA_DIR, self.node, req, addr, msg.crit,
+                        value=self.memory.get(addr, 0), acks=len(invs),
+                        excl=True, txn=msg.txn)]
+        elif e.owner == req:
+            # Upgrade by the owner itself: no data transfer needed.
+            out = [_msg(DATA_DIR, self.node, req, addr, msg.crit,
+                        value=None, acks=len(invs), excl=True, txn=msg.txn)]
         else:
-            raise ProtocolError(self.node, addr, DIR_NAMES[old],
-                                "GETX mishandled")
+            out = [_msg(FWD_GETX, self.node, e.owner, addr, msg.crit,
+                        requester=req, acks=len(invs), txn=msg.txn)]
         out.extend(_msg(INV, self.node, s, addr, msg.crit, requester=req,
                         txn=msg.txn)
                    for s in invs)
