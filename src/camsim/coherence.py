@@ -17,10 +17,12 @@ exclusive-clean, so a first reader lands in E.
 
 The directory owns its pending queue: when an UNBLOCK, or a PUTX served
 from the queue, leaves the entry idle with requests still waiting, `handle`
-pops the queue head and returns it as `replay`. The driver hands it back
-with `from_queue=True`, at once (model checker) or after the directory
-latency (simulator); a replay that finds the entry Busy again goes back to
-the front of the queue.
+returns the queue head as `replay` and leaves it queued. The driver hands
+it back with `from_queue=True`, at once (model checker) or after the
+directory latency (simulator), and only then is it taken off the queue.
+Until that replay, every new request queues behind the head, so the queue
+stays strict FIFO and a delayed replay is served exactly as an immediate
+one.
 
 Directory entries are compact, because a run creates one for every block
 ever requested. Sharer sets are immutable frozensets (every empty one is
@@ -565,12 +567,11 @@ class DirectoryController:
     def handle(self, msg, from_queue=False):
         """Returns (outgoing msgs, used_memory, replay).
 
-        `from_queue` marks a request replayed from the pending queue: it
-        is the queue head, so a non-empty queue must not defer it again
-        (only a Busy entry re-parks it, at the front). `replay` is the
-        popped queue head when an UNBLOCK, or a PUTX served from the
-        queue, leaves the entry idle with requests still waiting; else
-        None.
+        `replay` is the queue head when an UNBLOCK, or a PUTX served from
+        the queue, leaves the entry idle with requests still waiting; else
+        None. The head stays queued, so requests that arrive before its
+        replay queue behind it. `from_queue` marks that replay, which
+        takes the head off the queue and is served.
         """
         mt = msg.mtype
         addr = msg.addr
@@ -579,13 +580,20 @@ class DirectoryController:
             self._on_unblock(e, msg)
             return [], False, self._next(e)
         if mt in (GETS, GETX, PUTX):
-            if e.state == DIR_BUSY or (e.pending and not from_queue):
+            if from_queue:
+                if not e.pending or e.pending[0] is not msg:
+                    raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
+                                        "replayed %s is not the queue head"
+                                        % MSG_NAMES[mt])
+                if e.state == DIR_BUSY:
+                    raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
+                                        "replayed %s into a Busy entry"
+                                        % MSG_NAMES[mt])
+                e.pending.popleft()
+            elif e.state == DIR_BUSY or e.pending:
                 if e.pending is None:
                     e.pending = deque()
-                if from_queue:
-                    e.pending.appendleft(msg)
-                else:
-                    e.pending.append(msg)
+                e.pending.append(msg)
                 self._trace("queue_" + MSG_NAMES[mt], addr, e.state, e.state,
                             msg.crit)
                 return [], False, None
@@ -603,8 +611,8 @@ class DirectoryController:
 
     @staticmethod
     def _next(e):
-        """Pop the queue head of an idle entry, else None."""
-        return e.pending.popleft() if e.pending else None
+        """The queue head of an idle entry, else None."""
+        return e.pending[0] if e.pending else None
 
     def _on_gets(self, e, msg):
         addr, req = msg.addr, msg.requester

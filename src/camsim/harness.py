@@ -178,8 +178,8 @@ _EV_CORE = 0     # (tid, response)
 _EV_MSG = 1      # (msg, None)
 _EV_SEND = 2     # ([msgs], None) inject into the network
 _EV_ISSUE = 3    # (tid, None) re-issue core_op[tid] of a waiting core
-_EV_DIR_POP = 4  # (msg, None) replay a request the directory popped from
-                 # its pending queue
+_EV_DIR_POP = 4  # (msg, None) replay the head of a directory's pending
+                 # queue
 _EV_NAMES = ("core", "msg", "send", "issue", "dir_pop")
 
 

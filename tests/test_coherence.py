@@ -343,6 +343,7 @@ def test_dir_busy_queues_requests_fifo():
     assert [m.requester for m in e.pending] == [2, 3]
     out, _, nxt = d.handle(msg(UNBLOCK, 1, 0, requester=1))
     assert out == [] and nxt.requester == 2
+    assert [m.requester for m in e.pending] == [2, 3]  # queued until replayed
     out, _, replay = d.handle(nxt, from_queue=True)   # forwarded to owner 1
     assert out[0].mtype == FWD_GETS and out[0].dst == 1
     assert replay is None                          # Busy again
@@ -357,7 +358,10 @@ def test_dir_unblock_hands_back_a_queued_putx():
     out, _, replay = d.handle(putx)
     assert out == [] and replay is None and list(e.pending) == [putx]
     out, _, replay = d.handle(msg(UNBLOCK, 2, 0, requester=2))
-    assert replay is putx and not e.pending
+    assert replay is putx and list(e.pending) == [putx]
+    out, _, replay = d.handle(putx, from_queue=True)
+    assert [m.mtype for m in out] == [WB_ACK]
+    assert replay is None and not e.pending
 
 
 def test_dir_putx_served_from_queue_hands_back_the_next():
@@ -371,30 +375,49 @@ def test_dir_putx_served_from_queue_hands_back_the_next():
     assert [m.mtype for m in e.pending] == [PUTX, GETX]
     _, _, putx = d.handle(msg(UNBLOCK, 2, 0, requester=2))
     assert putx.mtype == PUTX
+    assert [m.mtype for m in e.pending] == [PUTX, GETX]
     out, mem, nxt = d.handle(putx, from_queue=True)
     # 1 still owned the block (the forward left it in O): memory is written
     assert [m.mtype for m in out] == [WB_ACK] and not mem
     assert d.memory[A] == 5 and e.state == DIR_S and e.sharers == {2}
-    assert nxt.mtype == GETX and nxt.requester == 3 and not e.pending
+    assert nxt.mtype == GETX and nxt.requester == 3
+    assert list(e.pending) == [nxt]
     out, _, replay = d.handle(nxt, from_queue=True)
-    assert e.state == DIR_BUSY and replay is None
+    assert e.state == DIR_BUSY and replay is None and not e.pending
 
 
-def test_dir_replay_into_busy_entry_returns_to_the_front():
+def test_dir_request_before_a_replay_queues_behind_the_head():
     d = directory()
     d.handle(msg(GETS, 1, 0, requester=1))         # busy now
     e = d.entry(A)
     d.handle(msg(GETX, 2, 0, requester=2))
     _, _, nxt = d.handle(msg(UNBLOCK, 1, 0, requester=1))
-    assert nxt.requester == 2 and not e.pending
-    # before the replay lands, a newcomer finds the entry idle and is served
-    out, _, _ = d.handle(msg(GETX, 3, 0, requester=3))
-    assert out and e.state == DIR_BUSY
-    out, mem, replay = d.handle(nxt, from_queue=True)
+    assert nxt.requester == 2 and e.state == DIR_E
+    # before the replay lands, a newcomer finds the entry idle, but the
+    # queue is strict FIFO: it waits behind the head
+    out, mem, replay = d.handle(msg(GETS, 3, 0, requester=3))
     assert out == [] and not mem and replay is None
-    assert [m.requester for m in e.pending] == [2]
-    _, _, replay = d.handle(msg(UNBLOCK, 3, 0, requester=3))
-    assert replay is nxt
+    assert e.state == DIR_E
+    assert [m.requester for m in e.pending] == [2, 3]
+    out, _, replay = d.handle(nxt, from_queue=True)
+    assert out[0].mtype == FWD_GETX and out[0].dst == 1 and replay is None
+    assert [m.requester for m in e.pending] == [3]
+    _, _, replay = d.handle(msg(UNBLOCK, 2, 0, requester=2))
+    assert replay.mtype == GETS and replay.requester == 3
+
+
+def test_dir_replay_must_be_the_head_of_an_idle_entry():
+    d = directory()
+    d.handle(msg(GETS, 1, 0, requester=1))         # busy now
+    e = d.entry(A)
+    d.handle(msg(GETX, 2, 0, requester=2))
+    d.handle(msg(GETX, 3, 0, requester=3))
+    with pytest.raises(ProtocolError, match="replayed GETX is not the queue "
+                                            "head"):
+        d.handle(e.pending[1], from_queue=True)
+    with pytest.raises(ProtocolError, match="replayed GETX into a Busy entry"):
+        d.handle(e.pending[0], from_queue=True)
+    assert [m.requester for m in e.pending] == [2, 3]
 
 
 def test_dir_owned_gets_forwards_to_owner():
