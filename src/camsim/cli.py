@@ -86,10 +86,12 @@ def build_parser():
     p.add_argument("--bandwidth", type=int)
     p.add_argument("--cam", choices=("on", "off"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
+    p.add_argument("--out", metavar="FILE",
+                   help="destination of the CSV, or of the program under "
+                        "--dump-program (default stdout)")
     p.add_argument("--trace", metavar="FILE", help="write a protocol trace log")
     p.add_argument("--dump-program", action="store_true",
-                   help="print the generated program and exit")
+                   help="write the generated program and exit")
     p.add_argument("--sweep", metavar="PRESET", choices=sorted(SWEEP_PRESETS),
                    help="run a sweep preset instead of a single simulation")
     p.add_argument("--jobs", type=int, default=None,
@@ -143,7 +145,11 @@ def main(argv=None):
             prog = gen_microbenchmark(cfg.n_threads(), cfg.counters,
                                       cfg.iters, cfg.noncrit_work,
                                       cfg.block_bytes, cfg.mem_bytes())
-            prog.dump(sys.stdout)
+            if args.out:
+                with open(args.out, "w") as fh:
+                    prog.dump(fh)
+            else:
+                prog.dump(sys.stdout)
             return 0
         if args.sweep:
             deltas = SWEEP_PRESETS[args.sweep]()

@@ -638,9 +638,11 @@ class DirectoryController:
         addr, req = msg.addr, msg.requester
         old = e.state
         # Invalidations go out in ring order starting after the requester.
-        # Together with paced fan-out (see the harness) this wakes
-        # contending spinners round-robin; a fixed node-index order would
-        # permanently favor some nodes and starve the rest.
+        # With the harness's paced fan-out, this order decides which
+        # invalidated spinner re-reads a contended word first, so the head
+        # start moves round the ring with the requester instead of always
+        # going to the lowest node ids. It does not prevent starvation at
+        # the paper preset (ROADMAP item 9).
         invs = sorted(e.sharers - {req},
                       key=lambda s: (s - req - 1) % self.n_nodes)
         used_mem = old == DIR_I or old == DIR_S

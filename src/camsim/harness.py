@@ -256,11 +256,12 @@ class Simulator:
     def _send(self, msgs, cycle):
         """Inject controller output messages at `cycle`.
 
-        Invalidation fan-out is paced one INV per `inv_pace` cycles: the
-        pace exceeds the wake round-trip spread, so emission (ring) order
-        alone decides which invalidated spinner re-reads a contended word
-        first. Un-paced fan-out would let network distance pick the same
-        winners every handoff and starve distant spinners.
+        Invalidation fan-out is paced one INV per `inv_pace` cycles. The
+        pace exceeds the wake round-trip spread, so emission (ring) order,
+        not network distance, decides which invalidated spinner re-reads a
+        contended word first. It does not prevent starvation: at the
+        paper preset, some threads are still shut out of the lock for most
+        of a run (ROADMAP items 8 and 9).
         """
         size_of = self._size_of
         remote = None
@@ -690,19 +691,19 @@ def emit_csv(rows, destination):
 
 # -- the paper sweep preset ---------------------------------------------------------
 
-# Workload shape for preset runs. Chosen so that at 300 counters the lock
-# is saturated (runtime tracks critical-section length, where link
-# contention hits critical traffic) while at 100 counters the threads are
-# mostly doing private work (the lock stops being the bottleneck). Memory
-# latency is set low because preset runs model the bandwidth-starved
-# regime: transaction cost must be dominated by link serialization, not
-# DRAM waits.
+# Workload shape for preset runs. It aims for a saturated lock at 300
+# counters (runtime tracking critical-section length, where link contention
+# hits critical traffic) and mostly private work at 100 counters. Memory
+# latency is low so that link serialization, not DRAM, dominates
+# transaction cost. Measured at 16 processors, seed 0, neither aim is met:
+# the lock is held for 0.57-0.71 of the baseline's cycles at 300 counters,
+# and mean link utilization is 2-7% (ROADMAP, "The probes").
 PRESET_ITERS = 3
 PRESET_NONCRIT_WORK = 5000
 PRESET_LAT_MEM = 30
 
 
-def paper_preset(base=None):
+def paper_preset():
     """Config deltas for the speedup + sensitivity matrix."""
     deltas = []
     for topo in TOPOLOGY_KINDS:

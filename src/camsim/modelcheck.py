@@ -3,10 +3,18 @@
 Two caches and one directory share a single block. The checker enumerates
 every interleaving of core operations (load, store, replacement) up to a
 bounded operation count, crossed with every message delivery order that
-respects per-vnet FIFO between each source/destination pair. Messages on
-different virtual networks reorder freely.
+keeps one FIFO channel per (source node, receiving agent, vnet); see
+`_absorb`. Messages on different channels reorder freely.
 
-Coverage limit: `_System.issue` always sends `crit=False`, so only the
+Coverage limits. First, a channel is coarser than a source/destination
+pair. The directory and cache 0 are both node 0, so their messages to a
+cache share a channel, and one sender's messages to two destinations stay
+in order. Keying channels by (sending agent, source, destination,
+receiving agent, vnet) reaches 24,275 / 768 / 51,312 states / quiescent
+states / transitions at depth 6, against 22,903 / 768 / 47,470 here, and
+finds no violation (ROADMAP item 5).
+
+Second, `_System.issue` always sends `crit=False`, so only the
 non-critical vnets 0-2 ever carry messages. The checker covers reordering
 across message classes (request / forward / response), not the
 critical/non-critical reordering that CAM's priority arbiter introduces

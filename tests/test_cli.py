@@ -26,6 +26,17 @@ def test_dump_program(capsys):
     assert "T1 UNLOCK" in out
 
 
+def test_dump_program_to_out_file(tmp_path, capsys):
+    args = ["--procs", "2", "--counters", "2", "--iters", "1",
+            "--noncrit-work", "1", "--dump-program"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    dest = tmp_path / "program.txt"
+    assert main(args + ["--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_text() == printed
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
