@@ -581,14 +581,11 @@ class DirectoryController:
             return [], False, self._next(e)
         if mt in (GETS, GETX, PUTX):
             if from_queue:
-                if not e.pending or e.pending[0] is not msg:
+                if (e.state == DIR_BUSY or not e.pending
+                        or e.pending[0] is not msg):
                     raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
-                                        "replayed %s is not the queue head"
-                                        % MSG_NAMES[mt])
-                if e.state == DIR_BUSY:
-                    raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
-                                        "replayed %s into a Busy entry"
-                                        % MSG_NAMES[mt])
+                                        "replayed %s is not the head of an "
+                                        "idle entry's queue" % MSG_NAMES[mt])
                 e.pending.popleft()
             elif e.state == DIR_BUSY or e.pending:
                 if e.pending is None:

@@ -412,11 +412,15 @@ def test_dir_replay_must_be_the_head_of_an_idle_entry():
     e = d.entry(A)
     d.handle(msg(GETX, 2, 0, requester=2))
     d.handle(msg(GETX, 3, 0, requester=3))
-    with pytest.raises(ProtocolError, match="replayed GETX is not the queue "
-                                            "head"):
+    # the entry is still Busy, and the second request is not the head
+    for queued in list(e.pending):
+        with pytest.raises(ProtocolError, match="replayed GETX is not the "
+                                                "head of an idle entry's"):
+            d.handle(queued, from_queue=True)
+    assert [m.requester for m in e.pending] == [2, 3]
+    d.handle(msg(UNBLOCK, 1, 0, requester=1))
+    with pytest.raises(ProtocolError, match="not the head"):
         d.handle(e.pending[1], from_queue=True)
-    with pytest.raises(ProtocolError, match="replayed GETX into a Busy entry"):
-        d.handle(e.pending[0], from_queue=True)
     assert [m.requester for m in e.pending] == [2, 3]
 
 
