@@ -695,9 +695,10 @@ def emit_csv(rows, destination):
 # counters (runtime tracking critical-section length, where link contention
 # hits critical traffic) and mostly private work at 100 counters. Memory
 # latency is low so that link serialization, not DRAM, dominates
-# transaction cost. Measured at 16 processors, seed 0, neither aim is met:
-# the lock is held for 0.57-0.71 of the baseline's cycles at 300 counters,
-# and mean link utilization is 2-7% (ROADMAP, "The probes").
+# transaction cost. Neither aim is met on the 16-processor torus2d and
+# crossbar cells measured (seed 0): the lock is held for 0.57-0.71 of the
+# baseline's cycles at 300 counters, and mean link utilization is 2-7%
+# (ROADMAP, "The probes").
 PRESET_ITERS = 3
 PRESET_NONCRIT_WORK = 5000
 PRESET_LAT_MEM = 30

@@ -228,8 +228,9 @@ def test_protocol_error_on_unexpected_event():
 _IN_ARRAYS = (ST_S, ST_E, ST_O, ST_M, ST_SM, ST_OM)
 _IN_WB = (ST_MI, ST_OI, ST_II)
 
-# (message type, state) -> (next state, reply type, trace event); None
-# marks a ProtocolError with the given detail.
+# {message type: {cache state: next state}}, written out from the protocol
+# spec; a state missing from a row must raise ProtocolError with the
+# row's _REJECTED detail.
 _FORWARD_TABLE = {
     FWD_GETS: {ST_M: ST_O, ST_E: ST_O, ST_O: ST_O, ST_OM: ST_OM,
                ST_MI: ST_OI, ST_OI: ST_OI},
