@@ -26,12 +26,22 @@ authoritative data token must equal the value of the most recently
 completed store. Any ProtocolError raised by the controllers is a
 failure.
 
-Successor states are cloned with `copy.deepcopy`, which calls
-`_System.__deepcopy__`; it and the `_clone_*` helpers next to `encode()`
-copy the whole state, so this module alone says what a checker state is.
-Channel lists and pending queues are copied but the messages in them are
-shared: only the timed simulator writes a message after it is built (its
-size, route, hop and stamp), and the checker never does.
+A successor copies only the controller its transition can change. A
+delivery on a "d" channel can change only the directory, a delivery on a
+"c" channel only the cache the message is addressed to, and an `issue`
+only the issuing cache (`_System.changed_part`). `_successor` clones a
+state with one `copy.deepcopy`, passing a memo that maps every other
+controller to itself, so `_System.__deepcopy__` copies that controller,
+the channel dicts and the bookkeeping, and shares the other controllers
+with the parent. The sharing is exact because a controller is written
+only by the `apply` right after it was copied: the parent is never
+applied to again, and a later transition that can change a shared
+controller copies it first. `copy.deepcopy` without a memo copies every
+controller. The `_clone_*` helpers next to the encoders say what copying
+a controller means, so this module alone says what a checker state is.
+Messages are always shared: only the timed simulator writes a message
+after it is built (its size, route, hop and stamp), and the checker
+never does.
 
 Visited states are keyed by interned parts (collapse compression, as in
 SPIN: Holzmann 1997). `_System.encode()` returns a flat tuple of parts,
@@ -39,10 +49,15 @@ one per cache, then the directory, the channels and the operation
 bookkeeping. One per-run table gives each distinct part value a dense int
 id, and the visited set holds only the tuple of ids. A part value recurs
 across many states but is stored once, in the table, so the checker's
-traced peak is about 230 B per visited state instead of about 1.5 kB
-with the full nested encodings. Keys are equal exactly when encodings
+traced peak at depth 5 is about 210 B per visited state instead of
+about 1.5 kB with the full nested encodings. Keys are equal exactly when encodings
 are equal, so the explored states and counts are those of deduplicating
-by the encoding itself.
+by the encoding itself. A successor's key reuses its parent's ids for
+the controllers the two share, whose parts are equal because the
+controllers are the same objects; only the changed controller, the
+channels and the bookkeeping are encoded and looked up. Each message is
+encoded once, when `_absorb` queues it, so the channels' part is built
+from tuples that exist already.
 """
 
 from __future__ import annotations
@@ -71,6 +86,8 @@ from .memhier import CacheArray, CacheGeometry
 
 _BLOCK = 0          # the single block under test, homed at node 0
 _N_CACHES = 2
+_DIR = _N_CACHES    # the directory's index among the parts of `encode()`
+_GEOM = CacheGeometry(64, 1, 64)    # one set, one way: evictions reachable
 
 
 class CheckFailure(AssertionError):
@@ -88,22 +105,27 @@ class _System:
     """One concrete protocol state: controllers plus in-flight channels."""
 
     def __init__(self):
-        geom = CacheGeometry(64, 1, 64)  # one set, one way: evictions reachable
-        self.caches = [CacheController(n, geom, geom, _N_CACHES)
+        self.caches = [CacheController(n, _GEOM, _GEOM, _N_CACHES)
                        for n in range(_N_CACHES)]
         self.dir = DirectoryController(0, _N_CACHES)
-        self.channels = {}       # (src, agent, vnet) -> list of messages
+        self.channels = {}       # (src, agent, vnet) -> tuple of messages
+        self.codes = {}          # the same key -> their `_enc_msg` tuples
         self.outstanding = [None] * _N_CACHES   # (op, value) while blocked
         self.ops_used = 0
         self.next_value = 1
         self.last_store = 0
 
     def __deepcopy__(self, memo):
-        # no object appears twice within one state, so `memo` is unused
+        # `memo` maps each controller the copy may share to itself (see
+        # `_successor`); every other controller is cloned, so a plain
+        # `copy.deepcopy`, whose memo starts empty, shares none. Channel
+        # values are tuples, replaced rather than written.
         twin = _System.__new__(_System)
-        twin.caches = [_clone_cache(c) for c in self.caches]
-        twin.dir = _clone_dir(self.dir)
-        twin.channels = {k: v[:] for k, v in self.channels.items()}
+        twin.caches = [memo.get(id(c)) or _clone_cache(c)
+                       for c in self.caches]
+        twin.dir = memo.get(id(self.dir)) or _clone_dir(self.dir)
+        twin.channels = self.channels.copy()
+        twin.codes = self.codes.copy()
         twin.outstanding = self.outstanding[:]   # entries are tuples or None
         twin.ops_used = self.ops_used
         twin.next_value = self.next_value
@@ -116,18 +138,23 @@ class _System:
         return "d" if msg.mtype in DIR_BOUND else "c"
 
     def _absorb(self, msgs):
+        channels, codes = self.channels, self.codes
         for msg in msgs:
             key = (msg.src, self._agent(msg),
                    vnet_of(CLASS_OF[msg.mtype], msg.crit))
-            self.channels.setdefault(key, []).append(msg)
+            channels[key] = channels.get(key, ()) + (msg,)
+            codes[key] = codes.get(key, ()) + (_enc_msg(msg),)
 
     # -- choices ---------------------------------------------------------------
 
     def deliver(self, key):
         msgs = self.channels[key]
-        msg = msgs.pop(0)
-        if not msgs:
-            del self.channels[key]
+        msg = msgs[0]
+        if len(msgs) > 1:
+            self.channels[key] = msgs[1:]
+            self.codes[key] = self.codes[key][1:]
+        else:
+            del self.channels[key], self.codes[key]
         if key[1] == "d":
             out, _, replay = self.dir.handle(msg)
             self._absorb(out)
@@ -179,6 +206,16 @@ class _System:
         else:
             self.issue(*arg)
 
+    def changed_part(self, action, arg):
+        """Index in `encode()` of the one controller `apply(action, arg)`
+        can change: the directory for a delivery on a "d" channel, else
+        the cache the head message or the issue names."""
+        if action == "issue":
+            return arg[0]
+        if arg[1] == "d":
+            return _DIR
+        return self.channels[arg][0].dst
+
     def legal_ops(self, node, max_ops):
         if self.ops_used >= max_ops or self.outstanding[node] is not None:
             return ()
@@ -218,39 +255,51 @@ class _System:
 
     # -- state encoding --------------------------------------------------------------
 
-    @staticmethod
-    def _enc_msg(m):
-        return (m.mtype, m.crit, m.src, m.dst, m.addr, m.requester, m.acks,
-                m.value, m.excl)
-
     def encode(self):
         """Every field that decides future behaviour, as a flat tuple of
         hashable parts: one per cache, then the directory, the channels
         and the operation bookkeeping."""
-        caches = []
-        for c in self.caches:
-            blocks = tuple(sorted((a, b.state, b.data)
-                                  for a, b in c.blocks.items()))
-            wb = tuple(sorted((a, b.state, b.data) for a, b in c.wb.items()))
-            txns = tuple(sorted(
-                (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
-                 t.acks_got, t.data, t.excl, t.store_value, t.from_state)
-                for a, t in c.txns.items()))
-            l2 = tuple(sorted((i, tuple(w)) for i, w in c.l2.sets.items() if w))
-            caches.append((blocks, wb, txns, l2))
-        entries = tuple(sorted(
-            (a, e.state, e.owner, tuple(sorted(e.sharers)),
-             e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
-                                            tuple(sorted(e.busy[3]))),
-             tuple(self._enc_msg(p) for p in e.pending or ()))
-            for a, e in self.dir.entries.items()))
-        mem = tuple(sorted(self.dir.memory.items()))
-        chans = tuple(sorted(
-            (k, tuple(self._enc_msg(m) for m in v))
-            for k, v in self.channels.items()))
-        return (*caches, (entries, mem), chans,
+        return (*[self.controller_part(i) for i in range(_DIR + 1)],
+                *self.transit_parts())
+
+    def controller_part(self, i):
+        """Part `i` of `encode()`: cache `i`, or the directory at `_DIR`."""
+        if i == _DIR:
+            return _enc_dir(self.dir)
+        return _enc_cache(self.caches[i])
+
+    def transit_parts(self):
+        """The last two parts of `encode()`, which any transition can
+        change: the channels and the operation bookkeeping."""
+        return (tuple(sorted(self.codes.items())),
                 (tuple(self.outstanding), self.ops_used, self.next_value,
                  self.last_store))
+
+
+def _enc_msg(m):
+    return (m.mtype, m.crit, m.src, m.dst, m.addr, m.requester, m.acks,
+            m.value, m.excl)
+
+
+def _enc_cache(c):
+    blocks = tuple(sorted([(a, b.state, b.data) for a, b in c.blocks.items()]))
+    wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
+    txns = tuple(sorted([
+        (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
+         t.acks_got, t.data, t.excl, t.store_value, t.from_state)
+        for a, t in c.txns.items()]))
+    l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items() if w]))
+    return (blocks, wb, txns, l2)
+
+
+def _enc_dir(directory):
+    entries = tuple(sorted([
+        (a, e.state, e.owner, tuple(sorted(e.sharers)),
+         e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
+                                        tuple(sorted(e.busy[3]))),
+         tuple([_enc_msg(p) for p in e.pending or ()]))
+        for a, e in directory.entries.items()]))
+    return (entries, tuple(sorted(directory.memory.items())))
 
 
 # -- cloning -------------------------------------------------------------------
@@ -318,6 +367,24 @@ def _clone_dir(directory):
     return twin
 
 
+def _successor(sys, action, arg):
+    """Copy `sys` and apply one choice to the copy.
+
+    Returns the copy and `sys.changed_part(action, arg)`. The copy shares
+    every other controller with `sys`.
+    """
+    changed = sys.changed_part(action, arg)
+    controllers = (*sys.caches, sys.dir)
+    shared = {id(c): c for i, c in enumerate(controllers) if i != changed}
+    succ = copy.deepcopy(sys, shared)
+    try:
+        succ.apply(action, arg)
+    except ProtocolError as exc:
+        raise CheckFailure("protocol assertion after %s %r: %s"
+                           % (action, arg, exc)) from exc
+    return succ, changed
+
+
 class _Visited:
     """The states explored so far, each kept as a tuple of dense ids.
 
@@ -335,15 +402,31 @@ class _Visited:
     def __len__(self):
         return len(self.keys)
 
-    def add(self, sys):
-        """Record `sys`; True when no state with its encoding was seen."""
+    def key(self, sys, hint=None):
+        """The key of `sys`. A `hint` is (parent key, changed part) for a
+        state `_successor` made: every controller part but the changed
+        one is the parent's, so its id is taken from the parent's key."""
         ids = self.ids
-        key = tuple([ids.setdefault(part, len(ids)) for part in sys.encode()])
+        if hint is None:
+            return tuple([ids.setdefault(part, len(ids))
+                          for part in sys.encode()])
+        parent, changed = hint
+        key = list(parent)
+        key[changed] = ids.setdefault(sys.controller_part(changed), len(ids))
+        chans, book = sys.transit_parts()
+        key[-2] = ids.setdefault(chans, len(ids))
+        key[-1] = ids.setdefault(book, len(ids))
+        return tuple(key)
+
+    def add(self, sys, hint=None):
+        """Record `sys`; its key when no state with its encoding was seen,
+        else None."""
+        key = self.key(sys, hint)
         keys = self.keys
         # hash the key once: add it, then see whether the set grew
         before = len(keys)
         keys.add(key)
-        return len(keys) != before
+        return key if len(keys) != before else None
 
 
 def run_check(max_ops=6):
@@ -353,13 +436,12 @@ def run_check(max_ops=6):
     """
     root = _System()
     visited = _Visited()
-    visited.add(root)
-    stack = [root]
+    stack = [(root, visited.add(root))]     # each state with its key
     quiescent = 0
     transitions = 0
 
     while stack:
-        sys = stack.pop()
+        sys, key = stack.pop()
         if sys.quiescent():
             quiescent += 1
             problems = sys.check_invariants()
@@ -367,13 +449,9 @@ def run_check(max_ops=6):
                 raise CheckFailure("invariant violation: %s"
                                    % "; ".join(problems))
         for action, arg in sys.choices(max_ops):
-            succ = copy.deepcopy(sys)
-            try:
-                succ.apply(action, arg)
-            except ProtocolError as exc:
-                raise CheckFailure("protocol assertion after %s %r: %s"
-                                   % (action, arg, exc)) from exc
+            succ, changed = _successor(sys, action, arg)
             transitions += 1
-            if visited.add(succ):
-                stack.append(succ)
+            succ_key = visited.add(succ, (key, changed))
+            if succ_key is not None:
+                stack.append((succ, succ_key))
     return CheckResult(len(visited), quiescent, transitions)

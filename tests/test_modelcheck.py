@@ -1,5 +1,6 @@
-"""Exhaustive protocol exploration up to depth 7 (the acceptance suite
-runs depth 6), and the visited-state keys that deduplicate it."""
+"""Exhaustive protocol exploration up to depth 8 (the acceptance suite
+runs depth 8 too), the visited-state keys that deduplicate it, and the
+controllers a successor shares with its parent."""
 
 import copy
 from collections import deque
@@ -12,7 +13,7 @@ from camsim.coherence import (
     _Txn,
 )
 from camsim.memhier import CacheArray, CacheGeometry
-from camsim.modelcheck import _System, _Visited, run_check
+from camsim.modelcheck import _System, _Visited, _successor, run_check
 from camsim.network import Message
 
 
@@ -26,6 +27,7 @@ PINNED = {
     5: (8508, 383, 17048),
     6: (22903, 768, 47470),
     7: (53378, 1397, 113738),
+    8: (109591, 2357, 237879),
 }
 
 
@@ -56,6 +58,10 @@ def test_depth_six_clean():
 
 def test_depth_seven_clean():
     assert counts(7) == PINNED[7]
+
+
+def test_depth_eight_clean():
+    assert counts(8) == PINNED[8]
 
 
 # -- visited keys ------------------------------------------------------------
@@ -197,3 +203,52 @@ def test_clones_equal_their_source_field_by_field():
     # every kind of checker state was compared at least once
     assert {_System, CacheController, CacheArray, _Block, _Txn,
             DirectoryController, _DirEntry, Message, deque} <= seen
+
+
+# -- structural sharing --------------------------------------------------------
+
+def controllers(state):
+    """The caches, then the directory: the order of `encode()`'s parts."""
+    return (*state.caches, state.dir)
+
+
+def may_change(state, action, arg):
+    """Index in `controllers` of the one controller a choice can change,
+    read off the choice: the issuing cache, the directory for a delivery
+    on a directory-bound channel, else the head message's destination."""
+    if action == "issue":
+        return arg[0]
+    if arg[1] == "d":
+        return len(state.caches)
+    return state.channels[arg][0].dst
+
+
+def test_successors_share_exactly_the_controllers_they_cannot_change():
+    # walk run_check's own successor path: `_successor` copies and
+    # applies, and keys are hinted with the parent's key
+    visited = _Visited()
+    root = _System()
+    stack = [(root, visited.add(root))]
+    n_transitions = 0
+    while stack:
+        parent, key = stack.pop()
+        before = controllers(copy.deepcopy(parent))   # shares nothing
+        for action, arg in parent.choices(5):
+            n_transitions += 1
+            changeable = may_change(parent, action, arg)
+            succ, changed = _successor(parent, action, arg)
+            pairs = list(zip(controllers(parent), controllers(succ)))
+            shared = [i for i, (p, s) in enumerate(pairs) if p is s]
+            assert shared == [i for i in range(len(pairs))
+                              if i != changeable], (action, arg, shared)
+            # a shared controller is the parent's too: apply must not
+            # have written it
+            for i in shared:
+                assert_same(before[i], pairs[i][1],
+                            "%s %r: controller %d" % (action, arg, i), set())
+            hint = (key, changed)
+            succ_key = visited.key(succ, hint)
+            assert succ_key == visited.key(succ), (action, arg)
+            if visited.add(succ, hint) is not None:
+                stack.append((succ, succ_key))
+    assert (len(visited), n_transitions) == (PINNED[5][0], PINNED[5][2])
