@@ -46,18 +46,18 @@ never does.
 Visited states are keyed by interned parts (collapse compression, as in
 SPIN: Holzmann 1997). `_System.encode()` returns a flat tuple of parts,
 one per cache, then the directory, the channels and the operation
-bookkeeping. One per-run table gives each distinct part value a dense int
-id, and the visited set holds only the tuple of ids. A part value recurs
-across many states but is stored once, in the table, so the checker's
-traced peak at depth 5 is about 210 B per visited state instead of
-about 1.5 kB with the full nested encodings. Keys are equal exactly when encodings
-are equal, so the explored states and counts are those of deduplicating
-by the encoding itself. A successor's key reuses its parent's ids for
-the controllers the two share, whose parts are equal because the
-controllers are the same objects; only the changed controller, the
-channels and the bookkeeping are encoded and looked up. Each message is
-encoded once, when `_absorb` queues it, so the channels' part is built
-from tuples that exist already.
+bookkeeping. One per-run table gives each distinct part value a dense
+int id, and the visited set holds only the tuple of ids. A part value
+recurs across many states but is stored once, in the table, so the
+checker's traced peak at depth 5 is about 210 B per visited state
+instead of about 1.5 kB with the full nested encodings. Keys are equal
+exactly when encodings are equal, so the explored states and counts are
+those of deduplicating by the encoding itself. A successor's key reuses
+its parent's ids for the controllers the two share, whose parts are
+equal because the controllers are the same objects; only the changed
+controller, the channels and the bookkeeping are encoded and looked up.
+Each message is encoded once, when `_absorb` queues it, so the channels'
+part is built from tuples that exist already.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ class _System:
     def transit_parts(self):
         """The last two parts of `encode()`, which any transition can
         change: the channels and the operation bookkeeping."""
-        return (tuple(sorted(self.codes.items())),
+        codes = self.codes
+        return (tuple(sorted(codes.items())) if codes else (),
                 (tuple(self.outstanding), self.ops_used, self.next_value,
                  self.last_store))
 
@@ -282,24 +283,37 @@ def _enc_msg(m):
 
 
 def _enc_cache(c):
-    blocks = tuple(sorted([(a, b.state, b.data) for a, b in c.blocks.items()]))
-    wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
-    txns = tuple(sorted([
-        (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
-         t.acks_got, t.data, t.excl, t.store_value, t.from_state)
-        for a, t in c.txns.items()]))
-    l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items() if w]))
+    # most of these dicts are empty, and an empty one encodes as () unsorted
+    blocks = wb = txns = l2 = ()
+    if c.blocks:
+        blocks = tuple(sorted([(a, b.state, b.data)
+                               for a, b in c.blocks.items()]))
+    if c.wb:
+        wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
+    if c.txns:
+        txns = tuple(sorted([
+            (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
+             t.acks_got, t.data, t.excl, t.store_value, t.from_state)
+            for a, t in c.txns.items()]))
+    if c.l2.sets:
+        l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items()
+                           if w]))
     return (blocks, wb, txns, l2)
 
 
 def _enc_dir(directory):
-    entries = tuple(sorted([
-        (a, e.state, e.owner, tuple(sorted(e.sharers)),
-         e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
-                                        tuple(sorted(e.busy[3]))),
-         tuple([_enc_msg(p) for p in e.pending or ()]))
-        for a, e in directory.entries.items()]))
-    return (entries, tuple(sorted(directory.memory.items())))
+    # as in `_enc_cache`, an empty dict encodes as () unsorted
+    entries = memory = ()
+    if directory.entries:
+        entries = tuple(sorted([
+            (a, e.state, e.owner, tuple(sorted(e.sharers)),
+             e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
+                                            tuple(sorted(e.busy[3]))),
+             tuple([_enc_msg(p) for p in e.pending or ()]))
+            for a, e in directory.entries.items()]))
+    if directory.memory:
+        memory = tuple(sorted(directory.memory.items()))
+    return (entries, memory)
 
 
 # -- cloning -------------------------------------------------------------------

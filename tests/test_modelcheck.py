@@ -205,7 +205,7 @@ def test_clones_equal_their_source_field_by_field():
             DirectoryController, _DirEntry, Message, deque} <= seen
 
 
-# -- structural sharing --------------------------------------------------------
+# -- structural sharing -------------------------------------------------------
 
 def controllers(state):
     """The caches, then the directory: the order of `encode()`'s parts."""
