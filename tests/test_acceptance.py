@@ -77,8 +77,8 @@ def test_criterion_2_jitter_seeds():
 
 
 def test_criterion_3_exhaustive_model_check():
-    result = run_check(max_ops=6)
-    report("3 exhaustive depth-6 check", result.quiescent > 0,
+    result = run_check(max_ops=8)
+    report("3 exhaustive depth-8 check", result.quiescent > 0,
            "%d states, %d quiescent" % (result.states, result.quiescent))
 
 
