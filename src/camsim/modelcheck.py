@@ -271,8 +271,7 @@ class _System:
     def transit_parts(self):
         """The last two parts of `encode()`, which any transition can
         change: the channels and the operation bookkeeping."""
-        codes = self.codes
-        return (tuple(sorted(codes.items())) if codes else (),
+        return (tuple(sorted(self.codes.items())),
                 (tuple(self.outstanding), self.ops_used, self.next_value,
                  self.last_store))
 
@@ -283,37 +282,25 @@ def _enc_msg(m):
 
 
 def _enc_cache(c):
-    # most of these dicts are empty, and an empty one encodes as () unsorted
-    blocks = wb = txns = l2 = ()
-    if c.blocks:
-        blocks = tuple(sorted([(a, b.state, b.data)
-                               for a, b in c.blocks.items()]))
-    if c.wb:
-        wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
-    if c.txns:
-        txns = tuple(sorted([
-            (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
-             t.acks_got, t.data, t.excl, t.store_value, t.from_state)
-            for a, t in c.txns.items()]))
-    if c.l2.sets:
-        l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items()
-                           if w]))
+    blocks = tuple(sorted([(a, b.state, b.data)
+                           for a, b in c.blocks.items()]))
+    wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
+    txns = tuple(sorted([
+        (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
+         t.acks_got, t.data, t.excl, t.store_value, t.from_state)
+        for a, t in c.txns.items()]))
+    l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items() if w]))
     return (blocks, wb, txns, l2)
 
 
 def _enc_dir(directory):
-    # as in `_enc_cache`, an empty dict encodes as () unsorted
-    entries = memory = ()
-    if directory.entries:
-        entries = tuple(sorted([
-            (a, e.state, e.owner, tuple(sorted(e.sharers)),
-             e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
-                                            tuple(sorted(e.busy[3]))),
-             tuple([_enc_msg(p) for p in e.pending or ()]))
-            for a, e in directory.entries.items()]))
-    if directory.memory:
-        memory = tuple(sorted(directory.memory.items()))
-    return (entries, memory)
+    entries = tuple(sorted([
+        (a, e.state, e.owner, tuple(sorted(e.sharers)),
+         e.busy if e.busy is None else (e.busy[0], e.busy[1], e.busy[2],
+                                        tuple(sorted(e.busy[3]))),
+         tuple([_enc_msg(p) for p in e.pending or ()]))
+        for a, e in directory.entries.items()]))
+    return (entries, tuple(sorted(directory.memory.items())))
 
 
 # -- cloning -------------------------------------------------------------------
