@@ -86,6 +86,9 @@ STATE_NAMES = ("I", "S", "E", "O", "M", "IS", "IM", "SM", "OM", "MI", "OI", "II"
 READABLE = frozenset((ST_S, ST_E, ST_O, ST_M))
 WRITABLE = frozenset((ST_E, ST_M))
 OWNERSHIP = frozenset((ST_M, ST_E, ST_O))
+# A replaced M/E/O block waits for its WB_Ack in these. It is in neither the
+# L1 nor the L2 array, and no transaction is open for it.
+WRITEBACK = frozenset((ST_MI, ST_OI, ST_II))
 
 # Directory entry states.
 DIR_I, DIR_S, DIR_E, DIR_O, DIR_BUSY = range(5)
@@ -127,8 +130,8 @@ def block_value(caches, memory, addr):
 
 
 # Transient states count as the stable state whose data-holding obligations
-# they retain: writeback buffers still own the only valid copy, and SM
-# still holds a readable copy until invalidated.
+# they retain: a block under writeback (MI/OI) still owns the only valid
+# copy, and SM still holds a readable copy until invalidated.
 _EFFECTIVE_STATE = {
     ST_I: ST_I, ST_S: ST_S, ST_E: ST_E, ST_O: ST_O, ST_M: ST_M,
     ST_IS: ST_I, ST_IM: ST_I, ST_SM: ST_S, ST_OM: ST_O,
@@ -139,13 +142,13 @@ _EFFECTIVE_STATE = {
 def check_swmr(caches, addr):
     """Single-writer/multiple-reader check over one block.
 
-    Reads each cache controller's state for `addr` (resident block, else
-    writeback buffer) through `_EFFECTIVE_STATE`. Returns a list of
+    Reads each cache controller's block state for `addr`, writeback
+    states included, through `_EFFECTIVE_STATE`. Returns a list of
     violation strings (empty when the invariant holds).
     """
     holders = None      # (node, effective state) of every valid copy
     for cache in caches:
-        blk = cache.blocks.get(addr) or cache.wb.get(addr)
+        blk = cache.blocks.get(addr)
         if blk is not None:
             st = _EFFECTIVE_STATE[blk.state]
             if st != ST_I:
@@ -169,8 +172,8 @@ def check_swmr(caches, addr):
 
 
 # Owner replies to a forwarded request: {Fwd type: {owner state: next}}.
-# The owner copy is the resident block, else the writeback-buffer block
-# (MI/OI), which answers from the buffer. An OM owner still holds the
+# A block under writeback (MI/OI) still owns its data and answers with it;
+# after Fwd_GETX it waits for its WB_Ack in II. An OM owner still holds the
 # valid copy: it serves a reader and keeps waiting for its own upgrade, and
 # on Fwd_GETX it has lost the upgrade race, so it hands over the data and
 # falls back to IM to wait for its own queued GETX.
@@ -181,9 +184,12 @@ _FWD_NEXT = {
                ST_MI: ST_II, ST_OI: ST_II},
 }
 
-# INV by resident state. A sharer drops its copy, an SM upgrader falls back
+# INV by block state. A sharer drops its copy, an SM upgrader falls back
 # to IM. IS and IM (the request is still queued at the directory) and I (a
-# silently dropped copy) acknowledge and stand by.
+# silently dropped copy) acknowledge and stand by. The directory
+# invalidates only sharers, so an INV at a block under writeback is for an
+# earlier, silently dropped S copy: it is acknowledged as at I, and the
+# writeback goes on.
 _INV_NEXT = {ST_S: ST_I, ST_SM: ST_IM, ST_IS: ST_IS, ST_IM: ST_IM, ST_I: ST_I}
 
 
@@ -199,8 +205,7 @@ class _Txn:
     """In-flight request bookkeeping (one per blocked core, at most)."""
 
     __slots__ = ("kind", "crit", "from_state", "store_value", "rmw",
-                 "waiting_data", "acks_needed", "acks_got", "data", "excl",
-                 "txn_id")
+                 "acks_needed", "acks_got", "data", "excl", "txn_id")
 
     def __init__(self, kind, crit, from_state, txn_id,
                  store_value=None, rmw=False):
@@ -209,27 +214,11 @@ class _Txn:
         self.from_state = from_state
         self.store_value = store_value
         self.rmw = rmw
-        self.waiting_data = True
         self.acks_needed = -1           # unknown until data arrives
         self.acks_got = 0
         self.data = None
         self.excl = False
         self.txn_id = txn_id
-
-
-class _Pinned:
-    """Blocks an L2 fill must not victimize: those with an in-flight
-    transaction or writeback, and the block being filled."""
-
-    __slots__ = ("txns", "wb", "addr")
-
-    def __init__(self, txns, wb, addr):
-        self.txns = txns
-        self.wb = wb
-        self.addr = addr
-
-    def __contains__(self, addr):
-        return addr == self.addr or addr in self.txns or addr in self.wb
 
 
 class CacheController:
@@ -245,9 +234,8 @@ class CacheController:
         self.n_nodes = n_nodes
         self.l1 = CacheArray(l1_geom)
         self.l2 = CacheArray(l2_geom)
-        self.blocks = {}     # resident block addr -> _Block
-        self.wb = {}         # evicted-but-unacked addr -> _Block (MI/OI/II)
-        self.txns = {}       # addr -> _Txn
+        self.blocks = {}     # addr -> _Block, for every state but I
+        self.txns = {}       # addr -> _Txn, for the blocks in IS/IM/SM/OM
         self.trace = None
         self._txn_serial = 0
         self._block_bytes = l2_geom.block_bytes
@@ -256,20 +244,14 @@ class CacheController:
 
     def state_of(self, addr):
         blk = self.blocks.get(addr)
-        if blk is not None:
-            return blk.state
-        blk = self.wb.get(addr)
-        if blk is not None:
-            return blk.state
-        return ST_I
+        return ST_I if blk is None else blk.state
 
     def holds(self, addr):
         """True while this cache holds a readable copy of `addr` or a
         writeback of it."""
-        if addr in self.wb:
-            return True
         blk = self.blocks.get(addr)
-        return blk is not None and blk.state in READABLE
+        return blk is not None and (blk.state in READABLE
+                                    or blk.state in WRITEBACK)
 
     def _trace(self, event, addr, old, new, crit=False):
         if self.trace is not None:
@@ -290,19 +272,14 @@ class CacheController:
         """Returns ((tier, value), msgs).
 
         tier: 'l1' / 'l2' hit, 'miss' (transaction started), or
-        'wb_pending' (the block is mid-writeback; retry after WB_Ack --
-        a writeback-buffer conflict stalls the request).
+        'wb_pending' (the block is mid-writeback; retry after WB_Ack).
         """
-        if addr in self.wb:
-            return ("wb_pending", None), []
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in READABLE:
             return (self._hit(addr), blk.data), []
-        return ("miss", None), self._begin(addr, "gets", crit)
+        return self._miss(addr, blk, "gets", crit)
 
     def store(self, addr, crit, value):
-        if addr in self.wb:
-            return ("wb_pending", None), []
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in WRITABLE:
             if blk.state == ST_E:
@@ -310,13 +287,10 @@ class CacheController:
                 blk.state = ST_M
             blk.data = value
             return (self._hit(addr), None), []
-        return ("miss", None), self._begin(addr, "getx", crit,
-                                            store_value=value)
+        return self._miss(addr, blk, "getx", crit, store_value=value)
 
     def rmw(self, addr, crit):
         """Atomic test-and-set: returns the old value, writes 1 if it was 0."""
-        if addr in self.wb:
-            return ("wb_pending", None), []
         blk = self.blocks.get(addr)
         if blk is not None and blk.state in WRITABLE:
             old = blk.data
@@ -325,7 +299,7 @@ class CacheController:
                     blk.state = ST_M
                 blk.data = 1
             return (self._hit(addr), old), []
-        return ("miss", None), self._begin(addr, "getx", crit, rmw=True)
+        return self._miss(addr, blk, "getx", crit, rmw=True)
 
     def _hit(self, addr):
         """Touch a resident block's L1 and L2 LRU; returns the hit tier."""
@@ -336,11 +310,15 @@ class CacheController:
         self._fill_l1(addr)
         return "l2"
 
-    def _begin(self, addr, kind, crit, store_value=None, rmw=False):
+    def _miss(self, addr, blk, kind, crit, store_value=None, rmw=False):
+        """Serve a request that missed on `blk` (the block of `addr`, or
+        None): stall it while the block is mid-writeback, else start a
+        transaction. Returns ((tier, None), msgs) as `load` does."""
+        old = blk.state if blk is not None else ST_I
+        if old in WRITEBACK:
+            return ("wb_pending", None), []
         if addr in self.txns:
             raise self._fail(addr, "second outstanding request for the block")
-        blk = self.blocks.get(addr)
-        old = blk.state if blk is not None else ST_I
         if kind == "gets":
             new = ST_IS
         elif old == ST_S:
@@ -360,34 +338,27 @@ class CacheController:
                                store_value=store_value, rmw=rmw)
         self._trace("issue_" + kind, addr, old, new, crit)
         mtype = GETS if kind == "gets" else GETX
-        return [_msg(mtype, self.node, self._home(addr), addr, crit,
-                     requester=self.node, txn=txn_id)]
+        return ("miss", None), [_msg(mtype, self.node, self._home(addr), addr,
+                                     crit, requester=self.node, txn=txn_id)]
 
     # -- replacement -----------------------------------------------------------
 
     def evict(self, addr):
-        """Replace `addr` (forced). Dirty/exclusive blocks write back."""
+        """Replace `addr` (forced). Dirty/exclusive blocks write back: they
+        stay in `blocks` at MI/OI, outside the arrays, until WB_Ack."""
         blk = self.blocks.get(addr)
-        if blk is None:
+        if blk is None or blk.state in WRITEBACK:
             return []
         if addr in self.txns:
             raise self._fail(addr, "eviction while a transaction is in flight")
         self.l1.remove(addr)
         self.l2.remove(addr)
-        del self.blocks[addr]
-        old = blk.state
-        if old in (ST_M, ST_E):
-            new = ST_MI
-        elif old == ST_O:
-            new = ST_OI
-        elif old == ST_S:
+        old = blk.state     # S, E, O or M: the other states have a txn
+        if old == ST_S:
+            del self.blocks[addr]
             self._trace("evict_silent", addr, old, ST_I)
             return []
-        else:
-            raise ProtocolError(self.node, addr, STATE_NAMES[old],
-                                "eviction from a transient state")
-        blk.state = new
-        self.wb[addr] = blk
+        new = blk.state = ST_OI if old == ST_O else ST_MI
         self._trace("evict_putx", addr, old, new)
         msg = _msg(PUTX, self.node, self._home(addr), addr, False,
                    requester=self.node, value=blk.data,
@@ -402,8 +373,9 @@ class CacheController:
         """Make addr L2-resident; may force a victim writeback."""
         msgs = []
         if not self.l2.contains(addr):
-            victim = self.l2.install(
-                addr, exclude=_Pinned(self.txns, self.wb, addr))
+            # a block under writeback is in no array, and `addr` is not
+            # yet in the L2, so only blocks with a transaction need pinning
+            victim = self.l2.install(addr, exclude=self.txns)
             if victim is not None:
                 # evict() removed the victim's l2 entry; ours stays.
                 msgs = self.evict(victim)
@@ -430,7 +402,7 @@ class CacheController:
     def _on_fwd(self, msg):
         addr = msg.addr
         mt = msg.mtype
-        blk = self.blocks.get(addr) or self.wb.get(addr)
+        blk = self.blocks.get(addr)
         old = blk.state if blk is not None else ST_I
         new = _FWD_NEXT[mt].get(old)
         if new is None:
@@ -443,7 +415,7 @@ class CacheController:
     def _on_inv(self, msg):
         addr = msg.addr
         blk = self.blocks.get(addr)
-        old = blk.state if blk is not None else ST_I
+        old = ST_I if blk is None or blk.state in WRITEBACK else blk.state
         new = _INV_NEXT.get(old)
         if new is None:
             raise self._fail(addr, "INV at an ownership state")
@@ -470,9 +442,8 @@ class CacheController:
     def _on_data(self, msg):
         addr = msg.addr
         txn = self.txns.get(addr)
-        if txn is None or not txn.waiting_data:
+        if txn is None or txn.acks_needed >= 0:
             raise self._fail(addr, "unexpected %s" % MSG_NAMES[msg.mtype])
-        txn.waiting_data = False
         txn.data = msg.value
         txn.acks_needed = msg.acks
         if msg.mtype == DATA_DIR:
@@ -487,15 +458,16 @@ class CacheController:
         return self._maybe_complete(msg.addr)
 
     def _on_wb_ack(self, msg):
-        blk = self.wb.pop(msg.addr, None)
-        if blk is None or blk.state not in (ST_MI, ST_OI, ST_II):
+        blk = self.blocks.get(msg.addr)
+        if blk is None or blk.state not in WRITEBACK:
             raise self._fail(msg.addr, "WB_Ack with no writeback pending")
+        del self.blocks[msg.addr]
         self._trace("wb_ack", msg.addr, blk.state, ST_I)
         return [], None
 
     def _maybe_complete(self, addr):
         txn = self.txns[addr]
-        if txn.waiting_data or txn.acks_got != txn.acks_needed:
+        if txn.acks_got != txn.acks_needed:     # acks_needed is -1 until data
             return [], None
         del self.txns[addr]
         blk = self.blocks[addr]
@@ -507,7 +479,7 @@ class CacheController:
             result = txn.data
         else:
             blk.state = ST_M
-            if txn.from_state != ST_OM and old != ST_OM:
+            if old != ST_OM:
                 blk.data = txn.data
             if txn.rmw:
                 result = blk.data

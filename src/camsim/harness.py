@@ -233,11 +233,7 @@ class Simulator:
         self.cores_left = len(self.cores)
         self._progress = [0] * len(self.cores)
         self._progress_cycle = [0] * len(self.cores)
-        self._trace_out = None
-        if cfg.trace_file:
-            self._trace_out = open(cfg.trace_file, "w")
-            for ctl in self.caches + self.dirs:
-                ctl.trace = self._mk_trace()
+        self._trace_out = None      # the trace file, open during `run`
 
     def _mk_trace(self):
         out = self._trace_out
@@ -416,6 +412,10 @@ class Simulator:
 
     def run(self):
         try:
+            if self.cfg.trace_file:
+                self._trace_out = open(self.cfg.trace_file, "w")
+                for ctl in self.caches + self.dirs:
+                    ctl.trace = self._mk_trace()
             cycle = self._loop()
         finally:
             if self._trace_out is not None:

@@ -73,7 +73,10 @@ from .coherence import (
     DIR_BUSY,
     DirectoryController,
     ProtocolError,
+    READABLE,
+    ST_I,
     ST_S,
+    WRITEBACK,
     _Block,
     _DirEntry,
     _Txn,
@@ -110,7 +113,6 @@ class _System:
         self.dir = DirectoryController(0, _N_CACHES)
         self.channels = {}       # (src, agent, vnet) -> tuple of messages
         self.codes = {}          # the same key -> their `_enc_msg` tuples
-        self.outstanding = [None] * _N_CACHES   # (op, value) while blocked
         self.ops_used = 0
         self.next_value = 1
         self.last_store = 0
@@ -126,7 +128,6 @@ class _System:
         twin.dir = memo.get(id(self.dir)) or _clone_dir(self.dir)
         twin.channels = self.channels.copy()
         twin.codes = self.codes.copy()
-        twin.outstanding = self.outstanding[:]   # entries are tuples or None
         twin.ops_used = self.ops_used
         twin.next_value = self.next_value
         twin.last_store = self.last_store
@@ -163,30 +164,25 @@ class _System:
                 out, _, replay = self.dir.handle(replay, from_queue=True)
                 self._absorb(out)
         else:
-            node = msg.dst
-            out, done = self.caches[node].handle(msg)
+            cache = self.caches[msg.dst]
+            out, done = cache.handle(msg)
             self._absorb(out)
-            if done is not None:
-                op = self.outstanding[node]
-                self.outstanding[node] = None
-                if op is not None and op[0] == "store":
-                    self.last_store = op[1]
+            # a load returns the value it read, a store None; the stored
+            # value is in the block
+            if done is not None and done[1] is None:
+                self.last_store = cache.blocks[_BLOCK].data
 
     def issue(self, node, op):
         cache = self.caches[node]
         self.ops_used += 1
         if op == "load":
-            (tier, val), msgs = cache.load(_BLOCK, False)
-            if tier == "miss":
-                self.outstanding[node] = ("load", None)
+            _, msgs = cache.load(_BLOCK, False)
             self._absorb(msgs)
         elif op == "store":
             value = self.next_value
             self.next_value += 1
             (tier, _), msgs = cache.store(_BLOCK, False, value)
-            if tier == "miss":
-                self.outstanding[node] = ("store", value)
-            else:
+            if tier != "miss":
                 self.last_store = value
             self._absorb(msgs)
         else:  # evict
@@ -217,22 +213,24 @@ class _System:
         return self.channels[arg][0].dst
 
     def legal_ops(self, node, max_ops):
-        if self.ops_used >= max_ops or self.outstanding[node] is not None:
+        if self.ops_used >= max_ops:
             return ()
-        cache = self.caches[node]
-        if _BLOCK in cache.txns or _BLOCK in cache.wb:
-            # requests against a mid-writeback block stall; no new choice
-            return ()
-        if cache.holds(_BLOCK):     # no writeback pending: a readable copy
+        state = self.caches[node].state_of(_BLOCK)
+        if state in READABLE:
             return ("load", "store", "evict")
-        return ("load", "store")
+        if state == ST_I:
+            return ("load", "store")
+        # IS/IM/SM/OM: the node's op is open while its transaction is;
+        # MI/OI/II: requests against a mid-writeback block stall
+        return ()
 
     # -- invariants ---------------------------------------------------------------
 
     def quiescent(self):
-        if self.channels or any(self.outstanding):
+        if self.channels:
             return False
-        if any(c.txns or c.wb for c in self.caches):
+        if any(c.txns or c.state_of(_BLOCK) in WRITEBACK
+               for c in self.caches):
             return False
         for e in self.dir.entries.values():
             if e.state == DIR_BUSY or e.pending:
@@ -272,8 +270,7 @@ class _System:
         """The last two parts of `encode()`, which any transition can
         change: the channels and the operation bookkeeping."""
         return (tuple(sorted(self.codes.items())),
-                (tuple(self.outstanding), self.ops_used, self.next_value,
-                 self.last_store))
+                (self.ops_used, self.next_value, self.last_store))
 
 
 def _enc_msg(m):
@@ -284,13 +281,12 @@ def _enc_msg(m):
 def _enc_cache(c):
     blocks = tuple(sorted([(a, b.state, b.data)
                            for a, b in c.blocks.items()]))
-    wb = tuple(sorted([(a, b.state, b.data) for a, b in c.wb.items()]))
     txns = tuple(sorted([
-        (a, t.kind, t.crit, t.rmw, t.waiting_data, t.acks_needed,
-         t.acks_got, t.data, t.excl, t.store_value, t.from_state)
+        (a, t.kind, t.crit, t.rmw, t.acks_needed, t.acks_got, t.data,
+         t.excl, t.store_value, t.from_state)
         for a, t in c.txns.items()]))
     l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items() if w]))
-    return (blocks, wb, txns, l2)
+    return (blocks, txns, l2)
 
 
 def _enc_dir(directory):
@@ -324,7 +320,6 @@ def _clone_txn(txn):
     twin.from_state = txn.from_state
     twin.store_value = txn.store_value
     twin.rmw = txn.rmw
-    twin.waiting_data = txn.waiting_data
     twin.acks_needed = txn.acks_needed
     twin.acks_got = txn.acks_got
     twin.data = txn.data
@@ -341,7 +336,6 @@ def _clone_cache(cache):
     twin.l1 = _clone_array(cache.l1)
     twin.l2 = _clone_array(cache.l2)
     twin.blocks = {a: _Block(b.state, b.data) for a, b in cache.blocks.items()}
-    twin.wb = {a: _Block(b.state, b.data) for a, b in cache.wb.items()}
     twin.txns = {a: _clone_txn(t) for a, t in cache.txns.items()}
     twin.trace = cache.trace
     twin._txn_serial = cache._txn_serial

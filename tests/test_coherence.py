@@ -60,6 +60,24 @@ def msg(mtype, src, dst, addr=A, **kw):
     return Message(mtype, kw.pop("crit", False), 8, src, dst, addr, **kw)
 
 
+def block_record_problems(cache):
+    """Where `cache` breaks a fact that one record per block rests on: a
+    block under writeback is in neither array and has no transaction, and
+    a block has a transaction exactly when it is in IS/IM/SM/OM. The L2
+    fill pins only the blocks in `txns` on the strength of these."""
+    problems = []
+    for addr, blk in cache.blocks.items():
+        if blk.state in (ST_MI, ST_OI, ST_II) and (
+                cache.l1.contains(addr) or cache.l2.contains(addr)):
+            problems.append("%#x in writeback but in an array" % addr)
+        if (addr in cache.txns) != (blk.state in (ST_IS, ST_IM, ST_SM, ST_OM)):
+            problems.append("%#x in %s with txn %r" % (
+                addr, STATE_NAMES[blk.state], cache.txns.get(addr)))
+    problems.extend("txn for %#x, which is at I" % addr
+                    for addr in cache.txns.keys() - cache.blocks.keys())
+    return problems
+
+
 def test_home_node_interleaving():
     assert home_node(0x40, 16, 64) == 1
     assert home_node(0x0, 16, 64) == 0
@@ -224,7 +242,8 @@ def test_protocol_error_on_unexpected_event():
 
 
 # Resident states whose block sits in the L1 and L2 arrays; IS and IM have
-# a block record but no data yet, and MI/OI/II live in the writeback buffer.
+# a block record but no data yet, and MI/OI/II keep their block record, with
+# its data, outside the arrays until the WB_Ack.
 _IN_ARRAYS = (ST_S, ST_E, ST_O, ST_M, ST_SM, ST_OM)
 _IN_WB = (ST_MI, ST_OI, ST_II)
 
@@ -236,7 +255,7 @@ _FORWARD_TABLE = {
                ST_MI: ST_OI, ST_OI: ST_OI},
     FWD_GETX: {ST_M: ST_I, ST_E: ST_I, ST_O: ST_I, ST_OM: ST_IM,
                ST_MI: ST_II, ST_OI: ST_II},
-    # the writeback buffer is not looked at: an INV there is a stale ack
+    # an INV at a block under writeback is a stale ack for an earlier S copy
     INV: {ST_S: ST_I, ST_SM: ST_IM, ST_IS: ST_IS, ST_IM: ST_IM, ST_I: ST_I,
           ST_MI: ST_MI, ST_OI: ST_OI, ST_II: ST_II},
 }
@@ -249,9 +268,7 @@ def cache_in(state, value=7):
     """Cache node 1 holding block A in `state`, with L1/L2 residency as the
     protocol leaves it there, and a recorded trace."""
     c = cache()
-    if state in _IN_WB:
-        c.wb[A] = _Block(state, value)
-    elif state != ST_I:
+    if state != ST_I:
         c.blocks[A] = _Block(state, value)
         if state in _IN_ARRAYS:
             c.l2.install(A)
@@ -289,7 +306,7 @@ def test_forward_and_inv_transition_table(mtype, state):
         assert reply.acks == m.acks and reply.value == 7
         event = "fwd_gets" if mtype == FWD_GETS else "fwd_getx"
     if event == "inv_stale":
-        # traced at the resident state; a writeback-buffer copy is not one
+        # traced at I for a block under writeback, else at its state
         old = new = ST_I if state in _IN_WB else state
     else:
         old, new = state, nxt
@@ -298,8 +315,10 @@ def test_forward_and_inv_transition_table(mtype, state):
     # the arrays keep the block only while it stays readable in place
     resident = nxt in _IN_ARRAYS and state in _IN_ARRAYS
     assert c.l1.contains(A) == resident and c.l2.contains(A) == resident
-    assert (A in c.wb) == (nxt in _IN_WB)
-    assert (A in c.blocks) == (nxt not in _IN_WB and nxt != ST_I)
+    # every state but I keeps the block record, writebacks included
+    assert (A in c.blocks) == (nxt != ST_I)
+    if nxt in _IN_WB:
+        assert c.blocks[A].data == 7
 
 
 # -- directory side ----------------------------------------------------------
@@ -462,13 +481,11 @@ def test_dir_stale_putx_acked_without_write():
 
 
 def caches_in(*states):
-    """Cache node i holds block A in states[i] (writeback buffer for MI)."""
+    """Cache node i holds block A in states[i]."""
     out = []
     for node, st in enumerate(states):
         c = cache(node)
-        if st == ST_MI:
-            c.wb[A] = _Block(st)
-        elif st != ST_I:
+        if st != ST_I:
             c.blocks[A] = _Block(st)
         out.append(c)
     return out
@@ -480,7 +497,7 @@ def test_swmr_checker():
     assert check_swmr(caches_in(ST_O, ST_S, ST_S), A) == []
     assert check_swmr(caches_in(ST_O, ST_O), A) != []
     assert check_swmr(caches_in(ST_E, ST_E), A) != []
-    # transient states count as stable: a writeback buffer in MI still
+    # transient states count as stable: a block under writeback in MI still
     # holds the only valid copy
     assert check_swmr(caches_in(ST_MI, ST_S), A) != []
     assert check_swmr(caches_in(ST_SM, ST_S), A) == []   # SM is still a reader

@@ -254,6 +254,13 @@ def test_stalled_request_reissued_after_its_writeback():
     assert sim.waiting[1] is None and reissues(sim) == [(101, 1)]
 
 
+def test_trace_file_untouched_until_run(tmp_path):
+    path = tmp_path / "trace.log"
+    path.write_text("an earlier trace\n")
+    Simulator(small_cfg(trace_file=str(path)))
+    assert path.read_text() == "an earlier trace\n"
+
+
 def test_trace_file_closed_when_run_fails(tmp_path):
     sim = Simulator(small_cfg(trace_file=str(tmp_path / "trace.log"),
                               cycle_budget=100))

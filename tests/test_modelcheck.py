@@ -15,6 +15,7 @@ from camsim.coherence import (
 from camsim.memhier import CacheArray, CacheGeometry
 from camsim.modelcheck import _System, _Visited, _successor, run_check
 from camsim.network import Message
+from test_coherence import block_record_problems
 
 
 # (states, quiescent, transitions) per depth. Cloning, exploration order
@@ -78,6 +79,17 @@ def test_keys_tell_apart_transaction_crit_and_rmw_bits():
         setattr(txn, field, not getattr(txn, field))
         assert visited.add(twin), field
     assert len(visited) == 3
+
+
+# -- block records -------------------------------------------------------------
+
+def test_block_records_in_every_reachable_state():
+    n_states = 0
+    for state in reachable(5):
+        n_states += 1
+        for cache in state.caches:
+            assert block_record_problems(cache) == [], state.encode()
+    assert n_states == PINNED[5][0]
 
 
 # -- cloning -------------------------------------------------------------------
