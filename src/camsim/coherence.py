@@ -30,6 +30,13 @@ ever requested. Sharer sets are immutable frozensets (every empty one is
 they are. The pending queue is created only when a request first has to
 wait.
 
+A transaction is identified by (requester, block): requests, forwards,
+invalidations and UNBLOCKs name the requester, and every other message is
+a reply addressed to it. No two open transactions share that pair,
+because a core has one outstanding request, a block under writeback
+stalls new requests, and every message of a transaction is sent before
+its UNBLOCK or WB_Ack.
+
 Criticality: every message of a transaction carries the crit bit of the
 core request that started it; forwards and invalidations always inherit
 it. Replacement writebacks are never critical.
@@ -110,13 +117,6 @@ class ProtocolError(AssertionError):
 def home_node(addr, n_nodes, block_bytes):
     """Block-interleaved home: (addr >> log2(block)) mod n_nodes."""
     return (addr // block_bytes) % n_nodes
-
-
-def _msg(mtype, src, dst, addr, crit, requester=None, acks=0, value=None,
-         excl=False, txn=None):
-    # size placeholder; Simulator._send applies the configured bytes
-    return Message(mtype, crit, 0, src, dst, addr, requester, acks, value,
-                   excl, txn)
 
 
 def block_value(caches, memory, addr):
@@ -205,10 +205,9 @@ class _Txn:
     """In-flight request bookkeeping (one per blocked core, at most)."""
 
     __slots__ = ("kind", "crit", "from_state", "store_value", "rmw",
-                 "acks_needed", "acks_got", "data", "excl", "txn_id")
+                 "acks_needed", "acks_got", "data", "excl")
 
-    def __init__(self, kind, crit, from_state, txn_id,
-                 store_value=None, rmw=False):
+    def __init__(self, kind, crit, from_state, store_value=None, rmw=False):
         self.kind = kind                # 'gets' | 'getx'
         self.crit = crit
         self.from_state = from_state
@@ -218,7 +217,6 @@ class _Txn:
         self.acks_got = 0
         self.data = None
         self.excl = False
-        self.txn_id = txn_id
 
 
 class CacheController:
@@ -237,7 +235,6 @@ class CacheController:
         self.blocks = {}     # addr -> _Block, for every state but I
         self.txns = {}       # addr -> _Txn, for the blocks in IS/IM/SM/OM
         self.trace = None
-        self._txn_serial = 0
         self._block_bytes = l2_geom.block_bytes
 
     # -- helpers -------------------------------------------------------------
@@ -296,6 +293,7 @@ class CacheController:
             old = blk.data
             if old == 0:
                 if blk.state == ST_E:
+                    self._trace("rmw_upgrade", addr, ST_E, ST_M, crit)
                     blk.state = ST_M
                 blk.data = 1
             return (self._hit(addr), old), []
@@ -332,14 +330,12 @@ class CacheController:
             self.blocks[addr] = blk
         else:
             blk.state = new
-        self._txn_serial += 1
-        txn_id = (self.node, addr, self._txn_serial)
-        self.txns[addr] = _Txn(kind, crit, old, txn_id,
-                               store_value=store_value, rmw=rmw)
+        self.txns[addr] = _Txn(kind, crit, old, store_value=store_value,
+                               rmw=rmw)
         self._trace("issue_" + kind, addr, old, new, crit)
         mtype = GETS if kind == "gets" else GETX
-        return ("miss", None), [_msg(mtype, self.node, self._home(addr), addr,
-                                     crit, requester=self.node, txn=txn_id)]
+        return ("miss", None), [Message(mtype, self.node, self._home(addr),
+                                        addr, crit, requester=self.node)]
 
     # -- replacement -----------------------------------------------------------
 
@@ -360,10 +356,8 @@ class CacheController:
             return []
         new = blk.state = ST_OI if old == ST_O else ST_MI
         self._trace("evict_putx", addr, old, new)
-        msg = _msg(PUTX, self.node, self._home(addr), addr, False,
-                   requester=self.node, value=blk.data,
-                   txn=(self.node, addr, "wb"))
-        return [msg]
+        return [Message(PUTX, self.node, self._home(addr), addr, False,
+                        requester=self.node, value=blk.data)]
 
     def _fill_l1(self, addr):
         if not self.l1.contains(addr):
@@ -409,8 +403,8 @@ class CacheController:
             raise self._fail(addr, "%s but not owner" % MSG_NAMES[mt])
         self._move(addr, blk, new)
         self._trace(MSG_NAMES[mt].lower(), addr, old, new, msg.crit)
-        return [_msg(DATA_OWNER, self.node, msg.requester, addr, msg.crit,
-                     value=blk.data, acks=msg.acks, txn=msg.txn)], None
+        return [Message(DATA_OWNER, self.node, msg.requester, addr, msg.crit,
+                        value=blk.data, acks=msg.acks)], None
 
     def _on_inv(self, msg):
         addr = msg.addr
@@ -424,8 +418,7 @@ class CacheController:
         else:
             self._move(addr, blk, new)
             self._trace("inv", addr, old, new, msg.crit)
-        ack = _msg(INV_ACK, self.node, msg.requester, addr, msg.crit,
-                   txn=msg.txn)
+        ack = Message(INV_ACK, self.node, msg.requester, addr, msg.crit)
         return [ack], None
 
     def _move(self, addr, blk, new):
@@ -489,8 +482,8 @@ class CacheController:
                 blk.data = txn.store_value
         self._trace("complete_" + txn.kind, addr, old, blk.state, txn.crit)
         msgs = self._install_l2(addr)
-        msgs.append(_msg(UNBLOCK, self.node, self._home(addr), addr,
-                         txn.crit, requester=self.node, txn=txn.txn_id))
+        msgs.append(Message(UNBLOCK, self.node, self._home(addr), addr,
+                            txn.crit, requester=self.node))
         return msgs, (addr, result)
 
 
@@ -590,14 +583,13 @@ class DirectoryController:
         if used_mem:
             # memory serves; a first reader is granted exclusive-clean
             excl = old == DIR_I
-            out = _msg(DATA_DIR, self.node, req, addr, msg.crit,
-                       value=self.memory.get(addr, 0), acks=0, excl=excl,
-                       txn=msg.txn)
+            out = Message(DATA_DIR, self.node, req, addr, msg.crit,
+                          value=self.memory.get(addr, 0), acks=0, excl=excl)
             e.busy = ((req, DIR_E, req, _NO_SHARERS) if excl
                       else (req, DIR_S, None, e.sharers | {req}))
         else:
-            out = _msg(FWD_GETS, self.node, e.owner, addr, msg.crit,
-                       requester=req, txn=msg.txn)
+            out = Message(FWD_GETS, self.node, e.owner, addr, msg.crit,
+                          requester=req)
             e.busy = (req, DIR_O, e.owner, e.sharers | {req})
         e.state = DIR_BUSY
         self._trace("gets", addr, old, DIR_BUSY, msg.crit)
@@ -617,18 +609,17 @@ class DirectoryController:
         used_mem = old == DIR_I or old == DIR_S
         if used_mem:
             # memory serves; an Invalid entry has no sharers, so no acks
-            out = [_msg(DATA_DIR, self.node, req, addr, msg.crit,
-                        value=self.memory.get(addr, 0), acks=len(invs),
-                        excl=True, txn=msg.txn)]
+            out = [Message(DATA_DIR, self.node, req, addr, msg.crit,
+                           value=self.memory.get(addr, 0), acks=len(invs),
+                           excl=True)]
         elif e.owner == req:
             # Upgrade by the owner itself: no data transfer needed.
-            out = [_msg(DATA_DIR, self.node, req, addr, msg.crit,
-                        value=None, acks=len(invs), excl=True, txn=msg.txn)]
+            out = [Message(DATA_DIR, self.node, req, addr, msg.crit,
+                           value=None, acks=len(invs), excl=True)]
         else:
-            out = [_msg(FWD_GETX, self.node, e.owner, addr, msg.crit,
-                        requester=req, acks=len(invs), txn=msg.txn)]
-        out.extend(_msg(INV, self.node, s, addr, msg.crit, requester=req,
-                        txn=msg.txn)
+            out = [Message(FWD_GETX, self.node, e.owner, addr, msg.crit,
+                           requester=req, acks=len(invs))]
+        out.extend(Message(INV, self.node, s, addr, msg.crit, requester=req)
                    for s in invs)
         e.busy = (req, DIR_E, req, _NO_SHARERS)
         e.state = DIR_BUSY
@@ -638,7 +629,7 @@ class DirectoryController:
     def _on_putx(self, e, msg):
         addr, src = msg.addr, msg.src
         old = e.state
-        ack = _msg(WB_ACK, self.node, src, addr, msg.crit, txn=msg.txn)
+        ack = Message(WB_ACK, self.node, src, addr, msg.crit)
         if src == e.owner and old in (DIR_E, DIR_O):
             self.memory[addr] = msg.value
             e.owner = None

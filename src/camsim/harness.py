@@ -24,7 +24,7 @@ import heapq
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .coherence import (
     CacheController,
@@ -598,8 +598,7 @@ def config_id_of(cfg):
                                    cfg.bandwidth, "cam" if cfg.cam else "base")
 
 
-def _run_for_pool(cfg_dict):
-    cfg = Config(**cfg_dict)
+def _run_for_pool(cfg):
     try:
         return config_id_of(cfg), run_simulation(cfg), None
     except Exception as exc:  # recorded in the row; the sweep continues
@@ -633,12 +632,11 @@ def run_sweep(deltas, base=None, parallel=None):
             cfgs.append(cfg)
     if parallel is None:
         parallel = min(8, os.cpu_count() or 1)
-    payloads = [asdict(c) for c in cfgs]
     if parallel > 1 and len(cfgs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_for_pool, payloads))
+            results = list(pool.map(_run_for_pool, cfgs))
     else:
-        results = [_run_for_pool(p) for p in payloads]
+        results = [_run_for_pool(c) for c in cfgs]
 
     rows = []
     # results keep the order of cfgs: a baseline run, then its CAM mate;

@@ -324,7 +324,6 @@ def _clone_txn(txn):
     twin.acks_got = txn.acks_got
     twin.data = txn.data
     twin.excl = txn.excl
-    twin.txn_id = txn.txn_id
     return twin
 
 
@@ -338,7 +337,6 @@ def _clone_cache(cache):
     twin.blocks = {a: _Block(b.state, b.data) for a, b in cache.blocks.items()}
     twin.txns = {a: _clone_txn(t) for a, t in cache.txns.items()}
     twin.trace = cache.trace
-    twin._txn_serial = cache._txn_serial
     twin._block_bytes = cache._block_bytes
     return twin
 

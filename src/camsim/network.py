@@ -61,21 +61,21 @@ class Message:
     """One protocol message in flight.
 
     `mtype` is a camsim.coherence message-type constant; `crit` a bool.
-    `value`/`acks`/`excl`/`requester` are protocol payload. `txn`
-    identifies the transaction for audit logging.
+    `value`/`acks`/`excl`/`requester` are protocol payload. `size` is set
+    when the message is sent (`Simulator._send`); the rest is routing state.
     """
 
     __slots__ = (
         "mtype", "crit", "size", "src", "dst", "addr",
-        "requester", "acks", "value", "excl", "txn",
+        "requester", "acks", "value", "excl",
         "route", "hop", "stamp",
     )
 
-    def __init__(self, mtype, crit, size, src, dst, addr,
-                 requester=None, acks=0, value=None, excl=False, txn=None):
+    def __init__(self, mtype, src, dst, addr, crit, requester=None, acks=0,
+                 value=None, excl=False):
         self.mtype = mtype
         self.crit = crit
-        self.size = size
+        self.size = 0
         self.src = src
         self.dst = dst
         self.addr = addr
@@ -83,7 +83,6 @@ class Message:
         self.acks = acks
         self.value = value
         self.excl = excl
-        self.txn = txn
         self.route = None
         self.hop = 0
         self.stamp = 0

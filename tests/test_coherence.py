@@ -57,7 +57,7 @@ def directory(node=0, n=4):
 
 
 def msg(mtype, src, dst, addr=A, **kw):
-    return Message(mtype, kw.pop("crit", False), 8, src, dst, addr, **kw)
+    return Message(mtype, src, dst, addr, kw.pop("crit", False), **kw)
 
 
 def block_record_problems(cache):
@@ -284,7 +284,7 @@ def cache_in(state, value=7):
 def test_forward_and_inv_transition_table(mtype, state):
     c = cache_in(state)
     m = msg(mtype, 0, 1, requester=3, acks=2 if mtype == FWD_GETX else 0,
-            crit=True, txn=(3, A, 1))
+            crit=True)
     nxt = _FORWARD_TABLE[mtype].get(state)
     if nxt is None:
         with pytest.raises(ProtocolError) as err:
@@ -296,7 +296,7 @@ def test_forward_and_inv_transition_table(mtype, state):
     out, done = c.handle(m)
     assert done is None and c.state_of(A) == nxt
     [reply] = out
-    assert reply.dst == 3 and reply.crit and reply.txn == (3, A, 1)
+    assert reply.dst == 3 and reply.crit
     if mtype == INV:
         assert reply.mtype == INV_ACK
         assert reply.acks == 0 and reply.value is None
@@ -319,6 +319,58 @@ def test_forward_and_inv_transition_table(mtype, state):
     assert (A in c.blocks) == (nxt != ST_I)
     if nxt in _IN_WB:
         assert c.blocks[A].data == 7
+
+
+# -- test-and-set --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("state", [ST_M, ST_E], ids=["M", "E"])
+def test_rmw_hit_on_zero_sets_the_word(state):
+    c = cache_in(state, value=0)
+    (tier, old), out = c.rmw(A, True)
+    assert tier in ("l1", "l2") and old == 0 and out == []
+    assert c.state_of(A) == ST_M and c.blocks[A].data == 1
+    upgrade = [(1, "rmw_upgrade", A, "E", "M", True)]
+    assert c.traced == (upgrade if state == ST_E else [])
+
+
+@pytest.mark.parametrize("state", [ST_M, ST_E], ids=["M", "E"])
+def test_rmw_hit_on_nonzero_writes_nothing(state):
+    c = cache_in(state, value=5)
+    (tier, old), out = c.rmw(A, True)
+    assert tier in ("l1", "l2") and old == 5 and out == []
+    assert c.state_of(A) == state and c.blocks[A].data == 5
+    assert c.traced == []
+
+
+@pytest.mark.parametrize("old", [0, 5])
+@pytest.mark.parametrize("state,pending", [(ST_I, ST_IM), (ST_S, ST_SM),
+                                           (ST_O, ST_OM)],
+                         ids=["I", "S", "O"])
+def test_rmw_miss_completes_through_data_dir(state, pending, old):
+    c = cache_in(state, value=old)
+    (tier, val), out = c.rmw(A, True)
+    assert tier == "miss" and val is None
+    [getx] = out
+    assert getx.mtype == GETX and getx.crit and getx.requester == 1
+    assert c.state_of(A) == pending
+    # an owner upgrading from O gets no data: it keeps its own
+    value = None if state == ST_O else old
+    out, done = c.handle(msg(DATA_DIR, 0, 1, value=value, acks=0, excl=True,
+                             crit=True))
+    assert done == (A, old)
+    assert c.state_of(A) == ST_M and c.blocks[A].data == (old or 1)
+    [unblock] = out
+    assert unblock.mtype == UNBLOCK and unblock.crit
+    assert unblock.requester == 1 and A not in c.txns
+
+
+@pytest.mark.parametrize("state", _IN_WB, ids=["MI", "OI", "II"])
+def test_rmw_during_writeback_stalls(state):
+    c = cache_in(state)
+    assert c.rmw(A, True) == (("wb_pending", None), [])
+    assert c.state_of(A) == state and c.blocks[A].data == 7
+    assert c.txns == {} and c.traced == []
 
 
 # -- directory side ----------------------------------------------------------

@@ -40,7 +40,8 @@ def test_golden_trace_covers_the_controller_transitions():
     with open(GOLDEN) as fh:
         events = {line.split()[2] for line in fh}
     assert {"fwd_gets", "fwd_getx", "inv", "putx", "putx_stale", "queue_GETS",
-            "queue_GETX", "queue_PUTX", "wb_ack", "evict_putx"} <= events
+            "queue_GETX", "queue_PUTX", "wb_ack", "evict_putx",
+            "store_upgrade", "rmw_upgrade"} <= events
 
 
 def test_block_records_after_every_message():

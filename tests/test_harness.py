@@ -30,6 +30,7 @@ from camsim.harness import (
     compute_speedup,
     config_id_of,
     emit_csv,
+    format_csv,
     paper_preset,
     ratio_of,
     run_simulation,
@@ -199,7 +200,7 @@ LOCK = 0x80                              # homed at node 2 of 4
 
 def to_node1(mtype, **kw):
     """A message from LOCK's home to node 1, on behalf of node 3."""
-    return Message(mtype, False, 8, home_node(LOCK, 4, 64), 1, LOCK,
+    return Message(mtype, home_node(LOCK, 4, 64), 1, LOCK, False,
                    requester=3, **kw)
 
 
@@ -238,7 +239,7 @@ def test_spinner_waits_while_its_copy_stays_readable(state):
 def test_spinner_reissued_when_its_copy_is_taken(mtype, state):
     sim = waiting_core("spin", state)
     # a message for another block leaves the spinner waiting
-    sim._process_cache(Message(INV, False, 8, 0, 1, 0x40, requester=3))
+    sim._process_cache(Message(INV, 0, 1, 0x40, False, requester=3))
     assert reissues(sim) == []
     sim._process_cache(to_node1(mtype, acks=0))
     assert sim.waiting[1] is None and reissues(sim) == [(101, 1)]
@@ -315,6 +316,13 @@ def test_run_sweep_pairs_and_order(tmp_path):
             assert row.speedup is not None
         else:
             assert row.speedup is None
+
+
+def test_process_pool_sweep_matches_serial():
+    # the pool pickles each Config to a worker and the stats back
+    deltas = [dict(SMALL), dict(SMALL, counters=4)]
+    pooled = format_csv(run_sweep(deltas, parallel=2))
+    assert pooled == format_csv(run_sweep(deltas, parallel=1))
 
 
 def test_sweep_records_errors_and_continues():

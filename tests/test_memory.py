@@ -57,10 +57,10 @@ def test_unblock_installs_final_sharers_by_identity():
     e = d.entry(addr)
     e.state = DIR_S
     e.sharers = frozenset({2, 3})
-    d.handle(Message(GETS, False, 0, 1, 0, addr, 1))
+    d.handle(Message(GETS, 1, 0, addr, False, 1))
     final = e.busy[3]
     assert final == {1, 2, 3} and type(final) is frozenset
-    d.handle(Message(UNBLOCK, False, 0, 1, 0, addr, 1))
+    d.handle(Message(UNBLOCK, 1, 0, addr, False, 1))
     assert e.sharers is final
 
 

@@ -142,12 +142,6 @@ def message_slots(msg):
     return tuple(getattr(msg, name) for name in Message.__slots__)
 
 
-def snapshot(state):
-    return (state.encode(),
-            [c._txn_serial for c in state.caches],
-            [t.txn_id for c in state.caches for t in c.txns.values()])
-
-
 def test_clones_share_no_mutable_object_with_their_parent():
     # every message, with its slots as first seen: this loop applies each
     # state's transitions before `reachable` does, so before any handler
@@ -156,15 +150,15 @@ def test_clones_share_no_mutable_object_with_their_parent():
     n_states = 0
     for parent in reachable(3):
         n_states += 1
-        before = snapshot(parent)
+        before = parent.encode()
         parent_objs = reachable_objects(parent)
         msgs = [first_seen.setdefault(i, (m, message_slots(m)))
                 for i, m in parent_objs.items() if isinstance(m, Message)]
         for action, arg in parent.choices(3):
             succ = copy.deepcopy(parent)
-            assert succ.encode() == before[0]
+            assert succ.encode() == before
             succ.apply(action, arg)
-            assert snapshot(parent) == before, (action, arg)
+            assert parent.encode() == before, (action, arg)
             common = parent_objs.keys() & reachable_objects(succ).keys()
             shared = [type(parent_objs[i]).__name__ for i in common
                       if isinstance(parent_objs[i], _NEVER_SHARED)]

@@ -19,7 +19,9 @@ from camsim.topology import build_topology
 
 
 def mk_msg(mtype=GETS, crit=False, size=8, src=0, dst=1, addr=0):
-    return Message(mtype, crit, size, src, dst, addr)
+    m = Message(mtype, src, dst, addr, crit)
+    m.size = size
+    return m
 
 
 def test_vnet_table():
