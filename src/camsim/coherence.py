@@ -146,17 +146,10 @@ def check_swmr(caches, addr):
     states included, through `_EFFECTIVE_STATE`. Returns a list of
     violation strings (empty when the invariant holds).
     """
-    holders = None      # (node, effective state) of every valid copy
-    for cache in caches:
-        blk = cache.blocks.get(addr)
-        if blk is not None:
-            st = _EFFECTIVE_STATE[blk.state]
-            if st != ST_I:
-                if holders is None:
-                    holders = [(cache.node, st)]
-                else:
-                    holders.append((cache.node, st))
-    if holders is None or len(holders) < 2:
+    # (node, effective state) of every valid copy
+    holders = [(c.node, st) for c in caches if addr in c.blocks
+               and (st := _EFFECTIVE_STATE[c.blocks[addr].state]) != ST_I]
+    if len(holders) < 2:
         return []
     writers = [n for n, st in holders if st == ST_M or st == ST_E]
     valid = [n for n, _ in holders]

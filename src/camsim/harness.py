@@ -8,8 +8,7 @@ arbitration (`Network.step`, only while links are queued). The loop then
 jumps straight to the next cycle at which anything can happen: the
 earliest of the next event, the next hop landing and the next release of
 a queued link. Stretches with no traffic and stretches where every
-queued link is still serializing are skipped wholesale; the network
-credits contention for the skipped all-busy cycles in bulk. This is what
+queued link is still serializing are skipped wholesale. This is what
 makes desk-scale runs of a 16-processor system practical.
 
 Determinism: a configuration (including its seed) fully determines the
@@ -44,7 +43,7 @@ from .coherence import (
     home_node,
 )
 from .memhier import CacheGeometry
-from .network import Network
+from .network import Network, serialization_cycles
 from .topology import ConfigError, TOPOLOGY_KINDS, build_topology
 from .workload import CoreState, gen_microbenchmark
 
@@ -231,8 +230,19 @@ class Simulator:
         diameter = max(topo.min_hops(0, m) for m in range(cfg.procs))
         self.inv_pace = 2 * diameter * (2 + cfg.hop_latency) + 4
         self.cores_left = len(self.cores)
-        self._progress = [0] * len(self.cores)
-        self._progress_cycle = [0] * len(self.cores)
+        # Watchdog window: twice an upper estimate of the longest a
+        # progressing run goes with no core retiring an operation. A
+        # request waits at its home behind at most two transactions per
+        # node, each a round trip of lookups, directory and memory latency,
+        # the paced INV fan-out and four traversals (request, forward,
+        # data, unblock) that each queue on every link behind at most one
+        # data message per node, plus jitter. Never under 1M cycles.
+        ser = serialization_cycles(cfg.msg_bytes_data, cfg.bandwidth)
+        trip = (cfg.lat_l1 + 2 * cfg.lat_l2 + 2 * cfg.lat_dir + cfg.lat_mem
+                + cfg.procs * self.inv_pace + 4 * (
+                    cfg.jitter + diameter * (cfg.procs * ser + cfg.hop_latency)))
+        self.watch_window = max(1_000_000, 4 * cfg.procs * trip)
+        self._retired_at = 0        # the last cycle a core retired an op
         self._trace_out = None      # the trace file, open during `run`
 
     def _mk_trace(self):
@@ -349,6 +359,7 @@ class Simulator:
             self.waiting[tid] = addr         # lock still held
         else:
             self.core_op[tid] = None
+            self._retired_at = at
             self._resume_core(tid, value, at)
 
     # -- message processing -------------------------------------------------------
@@ -467,7 +478,7 @@ class Simulator:
                     self._process_msg(a)
                 elif kind == _EV_SEND:
                     for m in a:
-                        net.inject(m)
+                        net.inject(m, cycle)
                 elif kind == _EV_DIR_POP:
                     self._process_dir(a, from_queue=True)
                 else:  # _EV_ISSUE
@@ -498,25 +509,18 @@ class Simulator:
                         "%s event scheduled for cycle %d, before the "
                         "current cycle %d" % (_EV_NAMES[evq[0][3]], nxt,
                                               cycle))
-            if active and nxt > cycle + 1:
-                # every queued link is serializing until nxt
-                net.skip(nxt - cycle - 1)
             cycle = nxt
         return cycle
 
     def _watchdog(self, cycle):
-        stuck = []
-        for tid, core in enumerate(self.cores):
-            if core.done:
-                continue
-            if core.retired != self._progress[tid]:
-                self._progress[tid] = core.retired
-                self._progress_cycle[tid] = cycle
-            elif cycle - self._progress_cycle[tid] > 1_000_000:
-                stuck.append(tid)
-        if stuck:
+        """Raise once no core has retired an operation for `watch_window`
+        cycles. A core that never retires while the others do is named
+        once the others finish."""
+        if cycle - self._retired_at > self.watch_window:
             raise SimulationError(
-                "cores stuck for over 1M cycles: %s" % self._stuck_cores(cycle))
+                "no core retired an operation for over %d cycles "
+                "(livelock): %s" % (self.watch_window,
+                                    self._stuck_cores(cycle)))
 
     def _stuck_cores(self, cycle):
         parts = []

@@ -39,38 +39,41 @@ class CacheGeometry:
 
 
 class CacheArray:
-    """Per-set MRU-ordered tag lists (front = most recent)."""
+    """Per-set MRU-ordered lists of resident block addresses (front = most
+    recent).
+
+    A set's list is created on its first install and deleted when its last
+    block leaves. An address is aligned only when it is unaligned, so an
+    aligned one is stored as the very object the caller passed.
+    """
 
     def __init__(self, geometry):
         self.geometry = geometry
-        self.sets = {}  # set index -> [tag, ...]
+        self.sets = {}  # set index -> [block address, ...]
         self._block_bytes = geometry.block_bytes
         self._n_sets = geometry.n_sets
 
-    def _split(self, addr):
-        block = addr // self._block_bytes
-        return block // self._n_sets, block % self._n_sets
-
-    def block_addr(self, tag, set_idx):
-        return (tag * self._n_sets + set_idx) * self._block_bytes
+    def _find(self, addr):
+        """(block address, set index, the set's list or None) of addr."""
+        bb = self._block_bytes
+        if addr % bb:
+            addr -= addr % bb
+        idx = addr // bb % self._n_sets
+        return addr, idx, self.sets.get(idx)
 
     def lookup(self, addr):
         """True on hit; a hit promotes the entry to MRU."""
-        block = addr // self._block_bytes
-        ways = self.sets.get(block % self._n_sets)
-        if ways:
-            tag = block // self._n_sets
-            if tag in ways:
-                if ways[0] != tag:
-                    ways.remove(tag)
-                    ways.insert(0, tag)
-                return True
+        addr, _, ways = self._find(addr)
+        if ways and addr in ways:
+            if ways[0] != addr:
+                ways.remove(addr)
+                ways.insert(0, addr)
+            return True
         return False
 
     def contains(self, addr):
-        block = addr // self._block_bytes
-        ways = self.sets.get(block % self._n_sets)
-        return bool(ways) and block // self._n_sets in ways
+        addr, _, ways = self._find(addr)
+        return ways is not None and addr in ways
 
     def install(self, addr, exclude=()):
         """Insert addr at MRU; returns the evicted block address or None.
@@ -79,27 +82,30 @@ class CacheArray:
         (blocks with an in-flight transaction); the least recent
         non-excluded way is chosen instead.
         """
-        tag, idx = self._split(addr)
-        ways = self.sets.setdefault(idx, [])
-        if tag in ways:
+        addr, idx, ways = self._find(addr)
+        if ways is None:
+            self.sets[idx] = [addr]
+            return None
+        if addr in ways:
             raise ValueError("install of already-resident block %#x" % addr)
         victim = None
         if len(ways) >= self.geometry.associativity:
             for cand in reversed(ways):
-                if self.block_addr(cand, idx) not in exclude:
+                if cand not in exclude:
                     victim = cand
                     break
             if victim is None:
                 raise RuntimeError("no evictable way in set %d" % idx)
             ways.remove(victim)
-            victim = self.block_addr(victim, idx)
-        ways.insert(0, tag)
+        ways.insert(0, addr)
         return victim
 
     def remove(self, addr):
-        tag, idx = self._split(addr)
-        ways = self.sets.get(idx)
-        if ways and tag in ways:
-            ways.remove(tag)
-            return True
-        return False
+        addr, idx, ways = self._find(addr)
+        if ways is None or addr not in ways:
+            return False
+        if len(ways) == 1:
+            del self.sets[idx]
+        else:
+            ways.remove(addr)
+        return True

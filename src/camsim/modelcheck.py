@@ -285,7 +285,7 @@ def _enc_cache(c):
         (a, t.kind, t.crit, t.rmw, t.acks_needed, t.acks_got, t.data,
          t.excl, t.store_value, t.from_state)
         for a, t in c.txns.items()]))
-    l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items() if w]))
+    l2 = tuple(sorted([(i, tuple(w)) for i, w in c.l2.sets.items()]))
     return (blocks, txns, l2)
 
 
@@ -303,7 +303,7 @@ def _enc_dir(directory):
 # None of these calls `copy.deepcopy`: a clone is one outermost call.
 
 def _clone_array(arr):
-    # the geometry is frozen and shared; only the tag lists are copied
+    # the geometry is frozen and shared; only the address lists are copied
     twin = CacheArray.__new__(CacheArray)
     twin.geometry = arr.geometry
     twin.sets = {i: ways[:] for i, ways in arr.sets.items()}

@@ -34,13 +34,17 @@ left and returns the ones that have arrived. `step(cycle)` arbitrates
 every free queued link and leaves `wake` at the next cycle at which
 anything can change here: the next landing or the earliest cycle a
 queued link frees up. Cycles in between, where every queued link is
-still serializing, need no visit; `skip(n)` credits them.
+still serializing, need no visit.
 
-A contention cycle for a link is a cycle in which its buffers hold at
-least one critical and one non-critical message simultaneously. `step`
-samples it before arbitrating; `skip` credits each skipped cycle to every
-link that held both lanes at the end of the last `step`, since nothing
-enqueues or dequeues in a skipped cycle.
+A contention cycle for a link is a cycle in which its lanes hold at least
+one critical and one non-critical message when it is arbitrated. Lanes
+change only when a message joins one (`inject`, `land`) or wins a link
+(`step`), so each link counts whole stretches: a stretch starts at the
+cycle a message joins an empty lane while the other lane holds traffic,
+and ends at the cycle a winner leaves one lane empty, which it includes.
+Skipped cycles thus need no visit to be counted. A reading taken mid-run
+lags by each link's open stretch; once the network is idle every stretch
+is closed.
 """
 
 from __future__ import annotations
@@ -111,6 +115,7 @@ class Network:
         self.busy_until = [0] * n
         self.busy_cycles = [0] * n
         self.contention_cycles = [0] * n
+        self._contended_since = [0] * n   # start of each open stretch
         self.transmitted = [0] * n
         self._stamp = 0                # arrival counter, shared by all links
         self._ser = {}                 # size -> serialization cycles
@@ -120,7 +125,6 @@ class Network:
         # landing cycle -> [messages landing then, in arbitration order]
         self._landings = {}
         self._land_at = []             # heap of the keys of _landings
-        self._contended = []           # links holding both lanes after step
         self.wake = NEVER
 
         self.injected = 0
@@ -138,17 +142,24 @@ class Network:
 
     # -- injection ---------------------------------------------------------
 
-    def inject(self, msg):
-        """Queue msg on the first link of its route."""
+    def inject(self, msg, cycle):
+        """Queue msg on the first link of its route at `cycle`."""
         src, dst = msg.src, msg.dst
         if src == dst:
             raise ValueError("inject with src == dst (%d)" % src)
         route = msg.route = self.routes[src * self._n_nodes + dst]
         msg.hop = 0
         self.injected += 1
-        li = route[0]
+        self._join(msg, route[0], cycle)
+
+    def _join(self, msg, li, cycle):
+        """Stamp msg and append it to its lane of link `li` at `cycle`."""
         self._stamp = msg.stamp = self._stamp + 1
-        self.bufs[li][msg.crit].append(msg)
+        lanes = self.bufs[li]
+        lane = lanes[msg.crit]
+        if not lane and lanes[not msg.crit]:
+            self._contended_since[li] = cycle
+        lane.append(msg)
         self.active[li] = True
 
     # -- hop events ----------------------------------------------------------
@@ -167,9 +178,7 @@ class Network:
         heapq.heappop(land_at)
         self.wake = land_at[0] if land_at else NEVER
         arrived = []
-        bufs = self.bufs
-        active = self.active
-        stamp = self._stamp
+        join = self._join
         for msg in msgs:
             route = msg.route
             hop = msg.hop + 1
@@ -177,46 +186,39 @@ class Network:
                 arrived.append(msg)
             else:
                 msg.hop = hop
-                li = route[hop]
-                stamp += 1
-                msg.stamp = stamp
-                bufs[li][msg.crit].append(msg)
-                active[li] = True
-        self._stamp = stamp
+                join(msg, route[hop], cycle)
         self.delivered += len(arrived)
         return arrived
 
     def step(self, cycle):
-        """Sample contention on every queued link, then arbitrate free ones.
+        """Arbitrate every free queued link at `cycle`.
 
-        A link counts a contention cycle if its lanes hold both critical
-        and non-critical traffic. Each winner occupies its link for its
-        serialization time and is scheduled to land `hop_latency` cycles
-        after. Leaves `wake` at the next landing or link release.
+        Each winner occupies its link for its serialization time and is
+        scheduled to land `hop_latency` cycles after. A winner that empties
+        its lane while the other lane holds traffic closes the link's
+        contention stretch. Leaves `wake` at the next landing or link
+        release.
         """
         busy_until = self.busy_until
         bufs = self.bufs
         cam = self.cam_enabled
         contention = self.contention_cycles
+        since = self._contended_since
         busy_cycles = self.busy_cycles
         transmitted = self.transmitted
         landings = self._landings
         land_at = self._land_at
         sers = self._ser
         hl = self.hop_latency
-        contended = []
         drained = []
         wake = NEVER
         for li in self.active:
-            lo, hi = bufs[li]
-            if lo and hi:
-                contention[li] += 1
             free = busy_until[li]
             if free <= cycle:
-                if hi and (cam or not lo or hi[0].stamp < lo[0].stamp):
-                    msg = hi.popleft()
-                else:
-                    msg = lo.popleft()
+                lo, hi = bufs[li]
+                lane = (hi if hi and (cam or not lo or hi[0].stamp < lo[0].stamp)
+                        else lo)
+                msg = lane.popleft()
                 size = msg.size
                 ser = sers.get(size)
                 if ser is None:
@@ -232,25 +234,18 @@ class Network:
                     heapq.heappush(land_at, at)
                 else:
                     got.append(msg)
-                if not (lo or hi):
-                    drained.append(li)
-                    continue
-            if lo and hi:
-                contended.append(li)
+                if not lane:
+                    if not (lo or hi):
+                        drained.append(li)
+                        continue
+                    contention[li] += cycle + 1 - since[li]
             if free < wake:
                 wake = free
         for li in drained:
             del self.active[li]
-        self._contended = contended
         if land_at and land_at[0] < wake:
             wake = land_at[0]
         self.wake = wake
-
-    def skip(self, n):
-        """Credit `n` skipped all-busy cycles of contention."""
-        contention = self.contention_cycles
-        for li in self._contended:
-            contention[li] += n
 
     def idle(self):
         return not self.active and not self._landings

@@ -144,8 +144,6 @@ class CoreState:
     lock_phase: str = ""              # "" | "spin" | "rmw" | "unlock"
     outstanding: bool = False
     done: bool = False
-    # progress accounting for the liveness watchdog
-    retired: int = 0
     ins: tuple | None = field(init=False, repr=False, compare=False)
     _rest: Iterator = field(init=False, repr=False, compare=False)
 
@@ -165,7 +163,6 @@ class CoreState:
         """
         if self.outstanding:
             self.outstanding = False
-            self.retired += 1
             phase = self.lock_phase
             if phase == "spin":
                 # test-and-test-and-set: observed 0, try to take it

@@ -149,6 +149,40 @@ def test_watchdog_fires_at_every_boundary_crossed():
     assert len(calls) >= st.total_cycles >> 16
 
 
+@pytest.mark.parametrize("cfg", [
+    Config(topology="crossbar", procs=2, counters=1, iters=1,
+           noncrit_work=1, lat_mem=1_100_000),
+    Config(topology="torus2d", procs=4, counters=2, iters=2,
+           noncrit_work=2, lat_dir=200_000),
+    Config(topology="torus2d", procs=4, counters=2, iters=2,
+           noncrit_work=2, hop_latency=400_000),
+], ids=("lat_mem", "lat_dir", "hop_latency"))
+def test_long_latencies_are_not_taken_for_a_livelock(cfg):
+    # each run has a stretch of over 1M cycles in which some core retires
+    # nothing: one miss, a long critical section, or long hops
+    st = run_simulation(cfg)
+    assert st.final_counters == [cfg.n_threads() * cfg.iters] * cfg.counters
+
+
+def test_watchdog_names_a_core_that_never_retires():
+    # T1 re-issues its first request forever: events keep flowing and the
+    # other cores finish, but T1 never retires an operation
+    sim = Simulator(small_cfg())
+    issue_mem = sim._issue_mem
+
+    def issue_mem_livelocking_t1(tid):
+        if tid == 1:
+            sim._push(sim.cycle + 1000, _R_CORE, _EV_ISSUE, tid)
+        else:
+            issue_mem(tid)
+
+    sim._issue_mem = issue_mem_livelocking_t1
+    with pytest.raises(SimulationError, match="livelock") as err:
+        sim.run()
+    assert re.findall(r"T\d+ pc=", str(err.value)) == ["T1 pc="]
+    assert sim.cycle > sim.watch_window == 1_000_000
+
+
 def test_event_in_the_past_fails_fast():
     # an event scheduled before the current cycle is never reached: the
     # run must raise at the cycle it was pushed, not spin to the budget

@@ -103,9 +103,11 @@ def test_inclusion_audit_after_run():
     sim = Simulator(Config(**SMALL))
     sim.run()
     for cache in sim.caches:
+        g = cache.l1.geometry
         for idx, ways in cache.l1.sets.items():
-            for tag in ways:
-                addr = cache.l1.block_addr(tag, idx)
+            for addr in ways:
+                assert addr % g.block_bytes == 0
+                assert addr // g.block_bytes % g.n_sets == idx
                 blk = cache.blocks.get(addr)
                 assert blk is not None and blk.state in READABLE, hex(addr)
                 assert cache.l2.contains(addr), hex(addr)

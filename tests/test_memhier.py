@@ -28,9 +28,10 @@ def test_address_mapping_example():
     # addr 0x12345 with 1024 sets: offset 0x05, set 0x08D, tag 0x1
     c = CacheArray(L1)
     c.install(0x12345)
-    assert c.sets == {0x08D: [0x1]}
+    assert c.sets == {0x08D: [0x12340]}        # the block-aligned address
     assert c.contains(0x12340)                 # same block, offset dropped
-    assert c.block_addr(0x1, 0x08D) == 0x12340
+    c.install(0x12345 + 1024 * 64)             # tag 0x2, same set
+    assert c.sets == {0x08D: [0x22340, 0x12340]}
 
 
 def test_address_zero_and_same_block():
@@ -38,6 +39,7 @@ def test_address_zero_and_same_block():
     c.install(0)
     assert c.sets == {0: [0]}
     c.install(0x1000)
+    assert c.sets == {0: [0], 0x40: [0x1000]}
     assert c.contains(0x1001)
     with pytest.raises(ValueError):
         c.install(0x1001)                      # 0x1000's block is resident
@@ -102,3 +104,13 @@ def test_occupancy_never_exceeds_associativity():
     for ways in c.sets.values():
         assert len(ways) <= 2
         assert len(set(ways)) == len(ways)
+
+
+def test_sets_hold_the_callers_aligned_address_and_drop_when_empty():
+    c = CacheArray(L1)
+    addr = int("12340", 16)                    # a fresh int object
+    assert c.install(addr) is None
+    assert c.sets[0x08D][0] is addr            # aligned: stored as passed
+    assert c.remove(0x12345)
+    assert c.sets == {}                        # the emptied set is deleted
+    assert not c.remove(0x12340)

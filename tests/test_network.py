@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from camsim.coherence import (
     CLASS_OF,
@@ -15,7 +15,7 @@ from camsim.coherence import (
     vnet_of,
 )
 from camsim.network import Message, Network, serialization_cycles
-from camsim.topology import build_topology
+from camsim.topology import TOPOLOGY_KINDS, build_topology
 
 
 def mk_msg(mtype=GETS, crit=False, size=8, src=0, dst=1, addr=0):
@@ -72,11 +72,11 @@ def cycle(net, cyc):
     return arrived
 
 
-def drive(net, cyc=0, skip=True):
+def drive(net, cyc=0, jump=True):
     """Run the network to idle as Simulator._loop does; {cycle: arrivals}.
 
-    With `skip`, cycles where every queued link is serializing are jumped
-    over and credited through `skip`; without, every cycle is stepped.
+    With `jump`, cycles where every queued link is serializing are jumped
+    over to `wake`; without, every cycle is stepped.
     """
     got = {}
     while True:
@@ -85,16 +85,13 @@ def drive(net, cyc=0, skip=True):
             got[cyc] = arrived
         if net.idle():
             return got
-        nxt = net.wake if skip else cyc + 1
-        if net.active and nxt > cyc + 1:
-            net.skip(nxt - cyc - 1)
-        cyc = nxt
+        cyc = net.wake if jump else cyc + 1
 
 
 def test_inject_routes_and_vnet():
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
-    net.inject(m)
+    net.inject(m, 0)
     li = first_link(topo)
     assert m.route == tuple(topo.links[l] for l in topo.route(0, 5))
     assert vnet_of(CLASS_OF[m.mtype], m.crit) == 0
@@ -104,15 +101,15 @@ def test_inject_routes_and_vnet():
     assert vnet == vnet_of(RESPONSE, True) == 5
     with pytest.raises(AttributeError):
         mc.vnet = 2                                # derived, never stored
-    net.inject(mc)
+    net.inject(mc, 0)
     assert net.bufs[li][1][0] is mc                # critical lane
 
 
 def test_same_cycle_injections_keep_order():
     topo, net = crossbar_net()
     a, b = mk_msg(src=0, dst=5), mk_msg(src=0, dst=6)
-    net.inject(a)
-    net.inject(b)
+    net.inject(a, 0)
+    net.inject(b, 0)
     assert a.stamp < b.stamp
     li = first_link(topo)
     assert list(net.bufs[li][0]) == [a, b]
@@ -122,8 +119,8 @@ def test_priority_selects_critical_when_cam_on():
     topo, net = crossbar_net(cam=True)
     a = mk_msg(src=0, dst=5)                       # noncrit, queued first
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(a)
-    net.inject(b)
+    net.inject(a, 0)
+    net.inject(b, 0)
     li = first_link(topo)
     cycle(net, 0)
     assert not net.bufs[li][1]                     # b won the link
@@ -134,8 +131,8 @@ def test_baseline_selects_oldest_regardless_of_vnet():
     topo, net = crossbar_net(cam=False)
     a = mk_msg(src=0, dst=5)
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(a)
-    net.inject(b)
+    net.inject(a, 0)
+    net.inject(b, 0)
     li = first_link(topo)
     cycle(net, 0)
     assert not net.bufs[li][0]                     # a won the link
@@ -148,7 +145,7 @@ def test_arbitrate_empty_returns_none():
     net.step(0)
     assert net.busy_until == [0] * net.n_links
     assert net.idle()
-    net.inject(mk_msg(src=0, dst=5))
+    net.inject(mk_msg(src=0, dst=5), 1)
     cycle(net, 1)
     li = first_link(topo)
     # only the link that had a message queued was arbitrated
@@ -162,8 +159,8 @@ def test_link_busy_during_serialization():
     topo, net = crossbar_net()
     big = mk_msg(size=72, src=0, dst=5)
     small = mk_msg(src=0, dst=6)
-    net.inject(big)
-    net.inject(small)
+    net.inject(big, 0)
+    net.inject(small, 0)
     li = first_link(topo)
     cycle(net, 0)                                  # big wins
     assert net.busy_until[li] == 6
@@ -177,15 +174,16 @@ def test_link_busy_during_serialization():
 
 
 def test_contention_sample():
-    # step samples contention before it arbitrates
+    # the stretch opens when the second lane gets traffic and closes,
+    # counting its last cycle, when a winner empties one lane
     topo, net = crossbar_net()
     li = first_link(topo)
-    net.inject(mk_msg(src=0, dst=5))
+    net.inject(mk_msg(src=0, dst=5), 0)
     cycle(net, 0)
     assert net.contention_cycles[li] == 0          # one side only
     b = mk_msg(src=0, dst=6, crit=True)
-    net.inject(mk_msg(src=0, dst=5))
-    net.inject(b)
+    net.inject(mk_msg(src=0, dst=5), 1)
+    net.inject(b, 1)
     cycle(net, 1)
     assert net.contention_cycles[li] == 1
     cycle(net, 2)                                  # only b is left queued
@@ -193,33 +191,26 @@ def test_contention_sample():
 
 
 def test_skipped_busy_cycles_accrue_contention():
-    # a 6-cycle data message serializes while both lanes hold a message:
-    # stepping cycle 0 and skipping 1-5 credits exactly 6 contention cycles
-    nets = []
-    for skip in (True, False):
+    # a 6-cycle data message serializes while both lanes hold a message,
+    # and the non-critical one wins at cycle 6: cycles 0-6 are contended
+    # whether cycles 1-5 are visited or jumped over
+    for jump in (True, False):
         topo, net = crossbar_net()
         li = first_link(topo)
-        net.inject(mk_msg(size=72, src=0, dst=5))
-        net.inject(mk_msg(src=0, dst=6))
-        net.inject(mk_msg(src=0, dst=6, crit=True))
+        net.inject(mk_msg(size=72, src=0, dst=5), 0)
+        net.inject(mk_msg(src=0, dst=6), 0)
+        net.inject(mk_msg(src=0, dst=6, crit=True), 0)
         cycle(net, 0)
         assert net.wake == 6
-        if skip:
-            net.skip(5)
-        else:
-            for cyc in range(1, 6):
-                cycle(net, cyc)
-        assert net.contention_cycles[li] == 6 == net.busy_cycles[li]
-        drive(net, 6, skip)
-        nets.append(net)
-    assert nets[0].contention_cycles == nets[1].contention_cycles
+        drive(net, 6 if jump else 1, jump)
+        assert net.contention_cycles[li] == 7 == sum(net.contention_cycles)
 
 
 def test_skipping_matches_per_cycle_stepping():
-    # same traffic, driven with and without skipping: identical arrivals,
+    # same traffic, driven with and without jumps: identical arrivals,
     # contention, busy cycles and transmissions on every link
     results = []
-    for skip in (True, False):
+    for jump in (True, False):
         topo = build_topology("torus2d", 16)
         net = Network(topo, 20, hop_latency=2, cam_enabled=True)
         rng = random.Random(3)
@@ -229,8 +220,8 @@ def test_skipping_matches_per_cycle_stepping():
             m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)),
                        crit=rng.random() < 0.4)
             rank[id(m)] = i
-            net.inject(m)
-        got = drive(net, 0, skip)
+            net.inject(m, 0)
+        got = drive(net, 0, jump)
         results.append(({c: [rank[id(m)] for m in ms]
                          for c, ms in got.items()},
                         net.contention_cycles, net.busy_cycles,
@@ -245,7 +236,7 @@ def test_two_hop_delivery_timing():
     # returned by land(4), the cycle the simulator processes it.
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
-    net.inject(m)
+    net.inject(m, 0)
     delivered = {}
     for cyc in range(0, 10):
         for msg in cycle(net, cyc):
@@ -258,8 +249,8 @@ def test_two_hop_delivery_timing():
 def test_messages_on_disjoint_links_progress_together():
     topo, net = crossbar_net()
     a, b = mk_msg(src=0, dst=5), mk_msg(src=1, dst=6)
-    net.inject(a)
-    net.inject(b)
+    net.inject(a, 0)
+    net.inject(b, 0)
     seen = []
     for cyc in range(0, 10):
         seen.extend(cycle(net, cyc))
@@ -274,7 +265,7 @@ def test_conservation_and_fifo_per_vnet():
     for i in range(200):
         src, dst = rng.sample(range(16), 2)
         m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)))
-        net.inject(m)
+        net.inject(m, 0)
         sent.append(m)
     got = [m for ms in drive(net).values() for m in ms]
     assert len(got) == len(sent)
@@ -290,7 +281,7 @@ def test_conservation_and_fifo_per_vnet():
 def test_utilization_bounded():
     topo, net = crossbar_net()
     for i in range(10):
-        net.inject(mk_msg(size=72, src=0, dst=5))
+        net.inject(mk_msg(size=72, src=0, dst=5), 0)
     got = drive(net)
     end = max(got)
     # the last landing is at or after every link's release, so no busy
@@ -298,3 +289,39 @@ def test_utilization_bounded():
     for li in range(net.n_links):
         assert net.busy_until[li] <= end
         assert 0 <= net.busy_cycles[li] <= end
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(TOPOLOGY_KINDS),
+       bandwidth=st.sampled_from((20, 60, 125, 250)),
+       hop_latency=st.integers(0, 3), cam=st.booleans(),
+       traffic=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 7),
+                                  st.integers(0, 7), st.sampled_from((8, 72)),
+                                  st.booleans()),
+                        min_size=1, max_size=60))
+def test_contention_stretches_match_per_cycle_sampling(topology, bandwidth,
+                                                       hop_latency, cam,
+                                                       traffic):
+    # oracle: step every cycle and count, before each step, every link
+    # whose two lanes both hold a message
+    topo = build_topology(topology, 8)
+    net = Network(topo, bandwidth, hop_latency, cam_enabled=cam)
+    due = {}
+    for at, src, dst, size, crit in traffic:
+        if src != dst:
+            due.setdefault(at, []).append(
+                mk_msg(src=src, dst=dst, size=size, crit=crit))
+    sampled = [0] * net.n_links
+    cyc = 0
+    while due or not net.idle():
+        net.land(cyc)
+        for m in due.pop(cyc, ()):
+            net.inject(m, cyc)
+        for li in net.active:
+            lo, hi = net.bufs[li]
+            if lo and hi:
+                sampled[li] += 1
+        if net.active:
+            net.step(cyc)
+        cyc += 1
+    assert net.contention_cycles == sampled

@@ -95,7 +95,6 @@ def test_core_over_streamed_thread_acts_as_over_list(shape):
         listed = CoreState(t, ref[t])
         assert drive(streamed, t) == drive(listed, t)
         assert streamed.pc == listed.pc == len(ref[t])
-        assert streamed.retired == listed.retired
 
 
 def test_single_thread_single_counter():
