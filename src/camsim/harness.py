@@ -49,7 +49,8 @@ from .workload import CoreState, gen_microbenchmark
 
 
 class SimulationError(RuntimeError):
-    """Deadlock/livelock watchdog or cycle budget tripped."""
+    """A run went wrong: deadlock, livelock, an event scheduled in the
+    past, an SWMR violation or a wrong final counter."""
 
 
 class UsageError(ValueError):
@@ -80,7 +81,6 @@ class Config:
     lat_l2: int = 10
     lat_mem: int = 160
     lat_dir: int = 2
-    cycle_budget: int = 500_000_000
     jitter: int = 0
     crit_tagging: bool = True
     trace_file: str | None = None
@@ -96,12 +96,12 @@ class Config:
         if not 1 <= self.n_threads() <= self.procs:
             raise ConfigError("threads must be in 1..procs")
         for name in ("bandwidth", "iters", "counters", "msg_bytes_control",
-                     "msg_bytes_data", "mem_mb", "cycle_budget"):
+                     "msg_bytes_data", "mem_mb"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1, got %d"
                                   % (name, getattr(self, name)))
         # a negative latency schedules events in the past, which the run
-        # loop never reaches: the run would spin until the cycle budget
+        # loop would only report once it met one, mid-run
         for name in ("noncrit_work", "hop_latency", "jitter", "lat_l1",
                      "lat_l2", "lat_mem", "lat_dir"):
             if getattr(self, name) < 0:
@@ -226,12 +226,14 @@ class Simulator:
         # WB_Ack for that address can take its block.
         self.waiting = [None] * cfg.procs
         # INV fan-out pacing: beyond any wake round-trip spread (each hop
-        # costs serialization plus hop latency in both directions)
-        diameter = max(topo.min_hops(0, m) for m in range(cfg.procs))
+        # costs serialization plus hop latency in both directions). The
+        # diameter is the longest route out of node 0, routes[1:procs]:
+        # every topology kind looks the same from each of its nodes.
+        diameter = max(map(len, self.net.routes[1:cfg.procs]))
         self.inv_pace = 2 * diameter * (2 + cfg.hop_latency) + 4
         self.cores_left = len(self.cores)
         # Watchdog window: twice an upper estimate of the longest a
-        # progressing run goes with no core retiring an operation. A
+        # progressing run goes with no core advancing its program. A
         # request waits at its home behind at most two transactions per
         # node, each a round trip of lookups, directory and memory latency,
         # the paced INV fan-out and four traversals (request, forward,
@@ -242,7 +244,8 @@ class Simulator:
                 + cfg.procs * self.inv_pace + 4 * (
                     cfg.jitter + diameter * (cfg.procs * ser + cfg.hop_latency)))
         self.watch_window = max(1_000_000, 4 * cfg.procs * trip)
-        self._retired_at = 0        # the last cycle a core retired an op
+        # (sum of the cores' pcs, the watchdog sample that first saw it)
+        self._progress = (0, 0)
         self._trace_out = None      # the trace file, open during `run`
 
     def _mk_trace(self):
@@ -333,14 +336,12 @@ class Simulator:
         cache = self.caches[tid]
         cfg = self.cfg
         cycle = self.cycle
-        if op == "load":
-            (tier, val), msgs = cache.load(addr, crit)
-        elif op == "store":
+        if op == "store":
             (tier, val), msgs = cache.store(addr, crit, value)
         elif op == "rmw":
             (tier, val), msgs = cache.rmw(addr, crit)
-        else:  # spin: a load that only completes on reading 0
-            (tier, val), msgs = cache.load(addr, False)
+        else:  # load or spin
+            (tier, val), msgs = cache.load(addr, crit)
         if tier == "l1":
             self._complete(tid, val, cycle + cfg.lat_l1)
         elif tier == "l2":
@@ -352,14 +353,14 @@ class Simulator:
             self._send(msgs, cycle + cfg.lat_l1 + cfg.lat_l2)
 
     def _complete(self, tid, value, at):
-        """The core's request read `value`: resume the core at `at`, or
-        keep it waiting while its spin load reads nonzero."""
+        """The core's request read `value`: resume the core at `at`. A spin
+        is a load that completes only on reading 0: while it reads nonzero,
+        the core keeps waiting."""
         op, addr = self.core_op[tid][:2]
         if op == "spin" and value != 0:
             self.waiting[tid] = addr         # lock still held
         else:
             self.core_op[tid] = None
-            self._retired_at = at
             self._resume_core(tid, value, at)
 
     # -- message processing -------------------------------------------------------
@@ -452,7 +453,6 @@ class Simulator:
 
         jitter = cfg.jitter
         randrange = self.rng.randrange
-        budget = cfg.cycle_budget
         heappop = heapq.heappop
         heappush = heapq.heappush
         net_land = net.land
@@ -491,10 +491,6 @@ class Simulator:
                     break
                 self._report_stall(cycle)
 
-            if cycle > budget:
-                raise SimulationError(
-                    "cycle budget %d exceeded; probable deadlock/livelock. %s"
-                    % (budget, self._stuck_cores(cycle)))
             if cycle >= watch_at:
                 # event-driven skips jump over boundaries: fire on crossing
                 self._watchdog(cycle)
@@ -513,12 +509,17 @@ class Simulator:
         return cycle
 
     def _watchdog(self, cycle):
-        """Raise once no core has retired an operation for `watch_window`
-        cycles. A core that never retires while the others do is named
-        once the others finish."""
-        if cycle - self._retired_at > self.watch_window:
+        """Raise once no core has advanced its program (the sum of the
+        cores' pcs has not moved) for over `watch_window` cycles. Requests
+        that complete without moving a pc, such as a spin read or a lost
+        test-and-set, are no progress. A core stuck while the others run is
+        named once the others finish."""
+        progress = sum(core.pc for core in self.cores)
+        if progress != self._progress[0]:
+            self._progress = (progress, cycle)
+        elif cycle - self._progress[1] > self.watch_window:
             raise SimulationError(
-                "no core retired an operation for over %d cycles "
+                "no core advanced its program for over %d cycles "
                 "(livelock): %s" % (self.watch_window,
                                     self._stuck_cores(cycle)))
 

@@ -19,19 +19,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-ENDPOINT = "endpoint"
-ROUTER = "router"
-
 TOPOLOGY_KINDS = ("crossbar", "torus2d", "hypercube")
 
 
 class ConfigError(ValueError):
     """Raised when a requested configuration violates a constraint."""
-
-
-class NodeId(NamedTuple):
-    index: int
-    kind: str
 
 
 class LinkId(NamedTuple):
@@ -60,12 +52,10 @@ class Topology:
             raise ConfigError("topology needs at least 2 endpoints, got %d" % n_endpoints)
         self.kind = kind
         self.n_endpoints = n_endpoints
-        self.nodes = [NodeId(i, ENDPOINT) for i in range(n_endpoints)]
         self.links = {}  # LinkId -> dense index
 
         if kind == "crossbar":
             self.router = n_endpoints
-            self.nodes.append(NodeId(self.router, ROUTER))
             for e in range(n_endpoints):
                 self._add_link(e, self.router)
                 self._add_link(self.router, e)
@@ -135,19 +125,6 @@ class Topology:
         if link not in self.links:
             raise RuntimeError("routing produced nonexistent link %s" % (link,))
         return link
-
-    def min_hops(self, src, dest):
-        """Shortest path length in links (closed form per kind)."""
-        if src == dest:
-            return 0
-        if self.kind == "crossbar":
-            return 2 if src != self.router and dest != self.router else 1
-        if self.kind == "torus2d":
-            w, h = self.width, self.height
-            dx = abs(src % w - dest % w)
-            dy = abs(src // w - dest // w)
-            return min(dx, w - dx) + min(dy, h - dy)
-        return (src ^ dest).bit_count()
 
     def route(self, src, dest):
         """Full link path from src to dest, by repeated next_hop."""

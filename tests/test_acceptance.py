@@ -1,10 +1,12 @@
 """Acceptance suite: one test per acceptance criterion.
 
-Criteria 1 and 5-9 share a single execution of the `paper` sweep preset
-(session-scoped fixture; expect several minutes of wall time on one
-core). Each test prints a PASS/FAIL line for its criterion.
+Criteria 1, 2 (SWMR) and 5-7 and the preset CSV golden check share a
+single execution of the `paper` sweep preset (session-scoped fixture;
+expect several minutes of wall time on one core). Each criterion test
+prints a PASS/FAIL line.
 """
 
+import os
 import sys
 from collections import deque
 
@@ -24,6 +26,8 @@ from camsim.topology import build_topology
 
 
 TOPOS = ("crossbar", "torus2d", "hypercube")
+GOLDEN_PRESET = os.path.join(os.path.dirname(__file__), "data",
+                             "golden_preset.csv")
 
 
 def report(criterion, ok, detail=""):
@@ -83,6 +87,9 @@ def test_criterion_3_exhaustive_model_check():
 
 
 def test_criterion_4_routing_oracle():
+    # the routes the network precomputes and messages follow must be
+    # shortest paths between every pair of link-graph nodes, the crossbar's
+    # router included
     problems = []
     for kind in TOPOS:
         topo = build_topology(kind, 16)
@@ -90,7 +97,7 @@ def test_criterion_4_routing_oracle():
         adj = {}
         for (a, b) in topo.links:
             adj.setdefault(a, []).append(b)
-        nodes = [n.index for n in topo.nodes]
+        nodes = sorted(adj)
         for src in nodes:
             dist = {src: 0}
             q = deque([src])
@@ -101,16 +108,25 @@ def test_criterion_4_routing_oracle():
                         dist[y] = dist[x] + 1
                         q.append(y)
             for dst in nodes:
-                if topo.min_hops(src, dst) != dist[dst]:
-                    problems.append((kind, src, dst, "min_hops"))
-                if src != dst and len(topo.route(src, dst)) != dist[dst]:
+                if len(topo.route(src, dst)) != dist[dst]:
                     problems.append((kind, src, dst, "route"))
         if kind == "hypercube":
             for a in range(16):
                 for b in range(16):
-                    if topo.min_hops(a, b) != bin(a ^ b).count("1"):
+                    if len(topo.route(a, b)) != bin(a ^ b).count("1"):
                         problems.append((kind, a, b, "hamming"))
     report("4 routing oracle", not problems, "first=%s" % problems[:3])
+
+
+def test_preset_csv_matches_golden(preset_rows):
+    """The paper preset's CSV must stay byte-identical: determinism is the
+    oracle for refactors and speedups. A change that alters simulated
+    behaviour on purpose regenerates it with
+    `PYTHONPATH=src python -m camsim.cli --sweep paper --out
+    tests/data/golden_preset.csv` and says why in CHANGES.md."""
+    with open(GOLDEN_PRESET) as fh:
+        expected = fh.read()
+    assert format_csv(list(preset_rows.values())) == expected
 
 
 def test_criterion_5_trend_a_speedup(preset_rows):

@@ -237,8 +237,58 @@ def test_request_during_writeback_stalls():
 
 def test_protocol_error_on_unexpected_event():
     c = cache()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError) as err:
         c.handle(msg(DATA_DIR, 0, 1, value=1, acks=0))
+    assert (err.value.state_name, err.value.detail) == ("I",
+                                                        "unexpected Data_Dir")
+
+
+def _getx_with_one_ack_pending(c):
+    c.store(A, False, 1)
+    c.handle(msg(DATA_DIR, 0, 1, value=0, acks=1, excl=True))
+
+
+# Events no transition covers: {id: (controller, setup, event, state name,
+# detail)}. Each must raise a ProtocolError naming the state it met.
+_UNCOVERED = {
+    "second_request": (cache, lambda c: c.load(A, False),
+                       lambda c: c.store(A, False, 1), "IS",
+                       "second outstanding request for the block"),
+    "evict_in_flight": (cache, lambda c: c.load(A, False),
+                        lambda c: c.evict(A), "IS",
+                        "eviction while a transaction is in flight"),
+    "cache_got_request": (cache, None,
+                          lambda c: c.handle(msg(GETS, 0, 1, requester=0)),
+                          "I", "cache got GETS"),
+    "data_twice": (cache, _getx_with_one_ack_pending,
+                   lambda c: c.handle(msg(DATA_OWNER, 2, 1, value=0)),
+                   "IM", "unexpected Data_Owner"),
+    "inv_ack_no_txn": (cache, None,
+                       lambda c: c.handle(msg(INV_ACK, 2, 1)), "I",
+                       "InvAck with no transaction"),
+    "wb_ack_no_writeback": (cache, lambda c: c.load(A, False),
+                            lambda c: c.handle(msg(WB_ACK, 0, 1)), "IS",
+                            "WB_Ack with no writeback pending"),
+    "dir_got_response": (directory, None,
+                         lambda d: d.handle(msg(DATA_DIR, 1, 0)),
+                         "Invalid", "directory got Data_Dir"),
+    "unmatched_unblock": (directory, None,
+                          lambda d: d.handle(msg(UNBLOCK, 1, 0, requester=1)),
+                          "Invalid",
+                          "Unblock from 1 without a matching transaction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNCOVERED))
+def test_uncovered_events_raise_protocol_errors(case):
+    make, setup, event, state_name, detail = _UNCOVERED[case]
+    ctl = make()
+    if setup is not None:
+        setup(ctl)
+    with pytest.raises(ProtocolError) as err:
+        event(ctl)
+    assert err.value.addr == A
+    assert (err.value.state_name, err.value.detail) == (state_name, detail)
 
 
 # Resident states whose block sits in the L1 and L2 arrays; IS and IM have

@@ -106,7 +106,7 @@ def test_invalid_configs_rejected():
     ("lat_l1", -1), ("lat_l2", -20), ("lat_mem", -1), ("lat_dir", -1),
     ("hop_latency", -1), ("jitter", -1),
     ("msg_bytes_control", 0), ("msg_bytes_data", 0), ("mem_mb", 0),
-    ("cycle_budget", 0),
+    ("bandwidth", 0),
 ])
 def test_configs_that_would_hang_rejected(name, value):
     with pytest.raises(ConfigError, match=name):
@@ -117,7 +117,7 @@ def test_zero_latencies_run_to_correct_counters():
     for topology in ("crossbar", "torus2d", "hypercube"):
         st = run_simulation(small_cfg(
             topology=topology, lat_l1=0, lat_l2=0, lat_mem=0, lat_dir=0,
-            hop_latency=0, cycle_budget=1_000_000))
+            hop_latency=0))
         assert all(v == 4 * 2 for v in st.final_counters)
         assert st.injected == st.delivered
 
@@ -129,11 +129,6 @@ def test_home_uses_configured_block_size():
         topology="crossbar", procs=4, counters=20, iters=2, block_bytes=128,
         l1_kb=1, l2_kb=2, l1_assoc=1, l2_assoc=1))
     assert st.final_counters == [4 * 2] * 20
-
-
-def test_cycle_budget_trips_cleanly():
-    with pytest.raises(SimulationError):
-        run_simulation(small_cfg(cycle_budget=100))
 
 
 def test_watchdog_fires_at_every_boundary_crossed():
@@ -158,15 +153,76 @@ def test_watchdog_fires_at_every_boundary_crossed():
            noncrit_work=2, hop_latency=400_000),
 ], ids=("lat_mem", "lat_dir", "hop_latency"))
 def test_long_latencies_are_not_taken_for_a_livelock(cfg):
-    # each run has a stretch of over 1M cycles in which some core retires
-    # nothing: one miss, a long critical section, or long hops
+    # each run has a stretch of over 1M cycles in which no core advances
+    # its program: one miss, a long critical section, or long hops
     st = run_simulation(cfg)
     assert st.final_counters == [cfg.n_threads() * cfg.iters] * cfg.counters
 
 
+def drop_first_issue(sim, tids):
+    """Each core in `tids` loses its first memory request: the request is
+    never issued, so the core waits for a reply that never comes."""
+    issue_mem = sim._issue_mem
+    dropped = set()
+
+    def issue_mem_dropping(tid):
+        if tid in tids and tid not in dropped:
+            dropped.add(tid)
+        else:
+            issue_mem(tid)
+
+    sim._issue_mem = issue_mem_dropping
+
+
+def test_stall_reports_deadlock_naming_the_stuck_core():
+    # T1 waits on a request that was never sent; once the others finish,
+    # nothing is scheduled and nothing is in flight
+    sim = Simulator(small_cfg())
+    drop_first_issue(sim, {1})
+    with pytest.raises(SimulationError, match="deadlock") as err:
+        sim.run()
+    assert "1 cores unfinished" in str(err.value)
+    assert re.findall(r"T\d+ pc=", str(err.value)) == ["T1 pc="]
+
+
+def test_test_and_set_livelock_trips_cleanly():
+    # Every test-and-set loses yet leaves the lock at 0, whether it hits
+    # or completes a miss: the cores re-read 0, retry and lose forever.
+    # Requests keep completing, but no core gets past its LOCK, the first
+    # instruction, so the watchdog fires at the first boundary sample past
+    # the window.
+    sim = Simulator(small_cfg(noncrit_work=0))
+    complete = sim._complete
+    finish_core_op = sim._finish_core_op
+    lost, lost_on_miss = [], []
+
+    def complete_losing_every_tas(tid, value, at):
+        op, addr = sim.core_op[tid][:2]
+        if op == "rmw":
+            sim.caches[tid].blocks[addr].data = 0
+            lost.append(tid)
+            value = 1
+        complete(tid, value, at)
+
+    def finish_core_op_counting(node, addr, result):
+        if sim.core_op[node][0] == "rmw":
+            lost_on_miss.append(node)
+        finish_core_op(node, addr, result)
+
+    sim._complete = complete_losing_every_tas
+    sim._finish_core_op = finish_core_op_counting
+    with pytest.raises(SimulationError, match="livelock") as err:
+        sim.run()
+    assert re.findall(r"T(\d+) pc=(\d+) ", str(err.value)) == [
+        ("0", "0"), ("1", "0"), ("2", "0"), ("3", "0")]
+    # both paths lose: hits, and misses completed by the protocol
+    assert len(lost) > len(lost_on_miss) > 0
+    assert sim.watch_window < sim.cycle <= sim.watch_window + 65536
+
+
 def test_watchdog_names_a_core_that_never_retires():
     # T1 re-issues its first request forever: events keep flowing and the
-    # other cores finish, but T1 never retires an operation
+    # other cores finish, but T1 never advances its program
     sim = Simulator(small_cfg())
     issue_mem = sim._issue_mem
 
@@ -297,8 +353,8 @@ def test_trace_file_untouched_until_run(tmp_path):
 
 
 def test_trace_file_closed_when_run_fails(tmp_path):
-    sim = Simulator(small_cfg(trace_file=str(tmp_path / "trace.log"),
-                              cycle_budget=100))
+    sim = Simulator(small_cfg(trace_file=str(tmp_path / "trace.log")))
+    drop_first_issue(sim, range(4))
     with pytest.raises(SimulationError):
         sim.run()
     assert sim._trace_out.closed
@@ -360,7 +416,9 @@ def test_process_pool_sweep_matches_serial():
 
 
 def test_sweep_records_errors_and_continues():
-    deltas = [dict(SMALL), dict(SMALL, counters=3, cycle_budget=50)]
+    # the second pair's scratch regions overflow 1 MB of memory
+    deltas = [dict(SMALL), dict(SMALL, counters=3, mem_mb=1,
+                                noncrit_work=100_000)]
     rows = run_sweep(deltas, parallel=1)
     errs = [r for r in rows if r.error]
     ok = [r for r in rows if r.stats is not None]

@@ -23,19 +23,25 @@ def bfs_distances(topo, src):
 
 
 def all_nodes(topo):
-    return [n.index for n in topo.nodes]
+    """Every node of the link graph, the crossbar's router included."""
+    return sorted({a for (a, _) in topo.links})
+
+
+def hops(topo, src, dst):
+    """Length of the route the network precomputes and messages follow."""
+    return len(topo.route(src, dst))
 
 
 def test_crossbar_4_shape():
     t = build_topology("crossbar", 4)
     assert t.n_endpoints == 4
-    assert len(t.nodes) == 5          # 4 endpoints + 1 router
+    assert all_nodes(t) == [0, 1, 2, 3, 4]   # 4 endpoints + 1 router
     assert t.n_links == 8             # one in-link and one out-link each
 
 
 def test_hypercube_16_shape():
     t = build_topology("hypercube", 16)
-    assert len(t.nodes) == 16
+    assert all_nodes(t) == list(range(16))
     assert t.n_links == 64            # 16 nodes x 4 dimensions
     for (a, b) in t.links:
         assert bin(a ^ b).count("1") == 1
@@ -67,8 +73,9 @@ def test_crossbar_routing():
     t = build_topology("crossbar", 8)
     link = t.next_hop(3, 7)
     assert (link.src, link.dst) == (3, t.router)
-    assert t.min_hops(3, 7) == 2
-    assert t.min_hops(3, 3) == 0
+    assert hops(t, 3, 7) == 2
+    assert hops(t, 3, 3) == 0
+    assert hops(t, 3, t.router) == hops(t, t.router, 7) == 1
 
 
 def test_torus_dimension_order_example():
@@ -76,13 +83,13 @@ def test_torus_dimension_order_example():
     t = build_topology("torus2d", 16)
     dest = 3 * 4 + 2
     assert t.next_hop(0, dest).dst == 1
-    assert t.min_hops(0, dest) == 3   # min(2,2) + min(3,1)
+    assert hops(t, 0, dest) == 3   # min(2,2) + min(3,1)
 
 
 def test_hypercube_ecube_example():
     t = build_topology("hypercube", 16)
     assert t.next_hop(0, 11).dst == 1  # lowest differing bit first
-    assert t.min_hops(0, 11) == 3
+    assert hops(t, 0, 11) == 3
 
 
 @pytest.mark.parametrize("kind,n", [
@@ -91,24 +98,25 @@ def test_hypercube_ecube_example():
     ("torus2d", 12), ("hypercube", 8),
 ])
 def test_min_hops_matches_bfs_and_routes_realize_it(kind, n):
+    # minimal hop counts are the lengths of the routes messages follow
     t = build_topology(kind, n)
     nodes = all_nodes(t)
     for src in nodes:
         dist = bfs_distances(t, src)
         assert len(dist) == len(nodes), "graph must be strongly connected"
         for dst in nodes:
-            assert t.min_hops(src, dst) == dist[dst]
+            path = t.route(src, dst)
+            assert len(path) == dist[dst]
             if src != dst:
-                path = t.route(src, dst)
-                assert len(path) == dist[dst]
                 assert path[0].src == src and path[-1].dst == dst
+                assert all(a.dst == b.src for a, b in zip(path, path[1:]))
 
 
 def test_hypercube_distance_is_hamming():
     t = build_topology("hypercube", 16)
     for a in range(16):
         for b in range(16):
-            assert t.min_hops(a, b) == bin(a ^ b).count("1")
+            assert hops(t, a, b) == bin(a ^ b).count("1")
 
 
 def test_2x2_torus_matches_2cube():
@@ -116,7 +124,7 @@ def test_2x2_torus_matches_2cube():
     cube = build_topology("hypercube", 4)
     for a in range(4):
         for b in range(4):
-            assert torus.min_hops(a, b) == cube.min_hops(a, b)
+            assert hops(torus, a, b) == hops(cube, a, b)
 
 
 def test_routing_deterministic():
