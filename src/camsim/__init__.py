@@ -15,7 +15,6 @@ from .harness import (
     RunStats,
     SimulationError,
     compute_speedup,
-    emit_csv,
     paper_preset,
     ratio_of,
     run_simulation,
@@ -32,7 +31,7 @@ __all__ = [
     "CacheArray", "CacheController", "CacheGeometry", "Config", "ConfigError",
     "CoreState", "DirectoryController", "Message", "Network", "Program",
     "ProtocolError", "RunStats", "SimulationError", "Topology",
-    "build_topology", "check_swmr", "compute_speedup", "emit_csv",
-    "gen_microbenchmark", "home_node", "paper_preset", "ratio_of",
-    "run_simulation", "run_sweep", "serialization_cycles", "vnet_of",
+    "build_topology", "check_swmr", "compute_speedup", "gen_microbenchmark",
+    "home_node", "paper_preset", "ratio_of", "run_simulation", "run_sweep",
+    "serialization_cycles", "vnet_of",
 ]

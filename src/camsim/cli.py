@@ -3,12 +3,14 @@
 Single runs emit a one-row CSV; `--sweep paper` runs the full
 speedup/sensitivity matrix (baseline+CAM pairs) and emits one row per run
 plus speedups on the CAM rows. A config file of `key = value` lines can
-seed any Config field; command-line flags override it.
+seed any Config field; command-line flags override it. This is the one
+module that opens files: the config file, `--out` and `--trace`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -16,12 +18,11 @@ from dataclasses import fields
 from .harness import (
     Config,
     SWEEP_PRESETS,
+    Simulator,
     SweepRow,
     UsageError,
     config_id_of,
-    emit_csv,
     format_csv,
-    run_simulation,
     run_sweep,
 )
 from .topology import ConfigError, TOPOLOGY_KINDS
@@ -89,7 +90,8 @@ def build_parser():
     p.add_argument("--out", metavar="FILE",
                    help="destination of the CSV, or of the program under "
                         "--dump-program (default stdout)")
-    p.add_argument("--trace", metavar="FILE", help="write a protocol trace log")
+    p.add_argument("--trace", metavar="FILE",
+                   help="write a protocol trace log of a single run")
     p.add_argument("--dump-program", action="store_true",
                    help="write the generated program and exit")
     p.add_argument("--sweep", metavar="PRESET", choices=sorted(SWEEP_PRESETS),
@@ -108,8 +110,6 @@ def make_config(args):
             values[key] = v
     if args.cam is not None:
         values["cam"] = args.cam == "on"
-    if args.trace:
-        values["trace_file"] = args.trace
     return Config(**values)
 
 
@@ -121,16 +121,27 @@ def _check_writable(path):
         os.remove(path)
 
 
+def _open_or(path, stream=None):
+    """`path` opened for writing, else `stream`, which is left open."""
+    return open(path, "w") if path else contextlib.nullcontext(stream)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise UsageError("--jobs must be >= 1, got %d" % args.jobs)
+        if args.sweep and args.trace:
+            # its runs would overwrite one another's trace
+            raise UsageError("a sweep cannot write a trace: trace a single "
+                             "run instead")
         cfg = make_config(args)
         cfg.validate()
         # a bad destination is reported now, not after a long run
-        for path in (args.out, cfg.trace_file):
+        for path in (args.out, args.trace):
             if path:
                 _check_writable(path)
-    except (ConfigError, TypeError) as exc:
+    except (ConfigError, TypeError, UsageError) as exc:
         print("camsim: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:
@@ -139,32 +150,30 @@ def main(argv=None):
         return 2
 
     # a config validate() accepts can still fail to build its program
-    # (address map) or to form a sweep (shared id or trace file)
+    # (address map) or to form a sweep (shared id)
     try:
         if args.dump_program:
             prog = gen_microbenchmark(cfg.n_threads(), cfg.counters,
                                       cfg.iters, cfg.noncrit_work,
                                       cfg.block_bytes, cfg.mem_bytes())
-            if args.out:
-                with open(args.out, "w") as fh:
-                    prog.dump(fh)
-            else:
-                prog.dump(sys.stdout)
+            with _open_or(args.out, sys.stdout) as fh:
+                prog.dump(fh)
             return 0
         if args.sweep:
             deltas = SWEEP_PRESETS[args.sweep]()
             rows = run_sweep(deltas, base=cfg, parallel=args.jobs)
         else:
-            stats = run_simulation(cfg)
-            rows = [SweepRow(config_id_of(cfg), stats)]
+            # built before the trace is opened, so a program that cannot be
+            # built leaves an existing trace file as it was
+            sim = Simulator(cfg)
+            with _open_or(args.trace) as trace:
+                rows = [SweepRow(config_id_of(cfg), sim.run(trace))]
     except (ConfigError, WorkloadError, UsageError) as exc:
         print("camsim: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.out:
-        emit_csv(rows, args.out)
-    else:
-        sys.stdout.write(format_csv(rows))
+    with _open_or(args.out, sys.stdout) as fh:
+        fh.write(format_csv(rows))
     return 0
 
 

@@ -83,7 +83,6 @@ class Config:
     lat_dir: int = 2
     jitter: int = 0
     crit_tagging: bool = True
-    trace_file: str | None = None
 
     def n_threads(self):
         return self.procs if self.threads is None else self.threads
@@ -231,7 +230,6 @@ class Simulator:
         # every topology kind looks the same from each of its nodes.
         diameter = max(map(len, self.net.routes[1:cfg.procs]))
         self.inv_pace = 2 * diameter * (2 + cfg.hop_latency) + 4
-        self.cores_left = len(self.cores)
         # Watchdog window: twice an upper estimate of the longest a
         # progressing run goes with no core advancing its program. A
         # request waits at its home behind at most two transactions per
@@ -246,15 +244,13 @@ class Simulator:
         self.watch_window = max(1_000_000, 4 * cfg.procs * trip)
         # (sum of the cores' pcs, the watchdog sample that first saw it)
         self._progress = (0, 0)
-        self._trace_out = None      # the trace file, open during `run`
+        self._trace_out = None      # the trace stream given to `run`
 
-    def _mk_trace(self):
-        out = self._trace_out
-
-        def trace(node, event, addr, old, new, crit):
-            out.write("%d %d %s %#x %s %s %d\n"
-                      % (self.cycle, node, event, addr, old, new, int(crit)))
-        return trace
+    def _trace(self, node, event, addr, old, new, crit):
+        """The controllers' trace hook: one line per state transition."""
+        self._trace_out.write("%d %d %s %#x %s %s %d\n"
+                              % (self.cycle, node, event, addr, old, new,
+                                 int(crit)))
 
     # -- scheduling ----------------------------------------------------------
 
@@ -328,8 +324,6 @@ class Simulator:
             self._issue_mem(tid)
         elif kind == "local":
             self._resume_core(tid, None, self.cycle + action[1])
-        else:  # done
-            self.cores_left -= 1
 
     def _issue_mem(self, tid):
         op, addr, value, crit = self.core_op[tid]
@@ -422,16 +416,15 @@ class Simulator:
 
     # -- main loop -----------------------------------------------------------------
 
-    def run(self):
-        try:
-            if self.cfg.trace_file:
-                self._trace_out = open(self.cfg.trace_file, "w")
-                for ctl in self.caches + self.dirs:
-                    ctl.trace = self._mk_trace()
-            cycle = self._loop()
-        finally:
-            if self._trace_out is not None:
-                self._trace_out.close()
+    def run(self, trace=None):
+        """Run to completion and return the RunStats. `trace`, an open text
+        stream that the caller closes, gets one line per message sent or
+        received and per controller transition."""
+        if trace is not None:
+            self._trace_out = trace
+            for ctl in self.caches + self.dirs:
+                ctl.trace = self._trace
+        cycle = self._loop()
         self.cycle = cycle
         stats = self._stats(cycle)
         # every thread increments every counter once per iteration
@@ -487,7 +480,7 @@ class Simulator:
             if active:
                 net_step(cycle)
             elif not evq and net.idle():
-                if self.cores_left == 0:
+                if all(core.done for core in self.cores):
                     break
                 self._report_stall(cycle)
 
@@ -535,7 +528,8 @@ class Simulator:
     def _report_stall(self, cycle):
         raise SimulationError(
             "no scheduled work but %d cores unfinished (deadlock). %s"
-            % (self.cores_left, self._stuck_cores(cycle)))
+            % (sum(not core.done for core in self.cores),
+               self._stuck_cores(cycle)))
 
     # -- reporting -------------------------------------------------------------------
 
@@ -615,9 +609,9 @@ def run_sweep(deltas, base=None, parallel=None):
 
     `deltas` is a list of dicts of Config field overrides. The CAM flag is
     controlled by the sweep itself: each delta produces a cam=off and a
-    cam=on run. Runs execute in parallel processes when `parallel` > 1.
-    Raises UsageError before any run if two runs would share a config id
-    (the id names a CSV row) or a trace file.
+    cam=on run. Runs execute in up to `parallel` processes when it is
+    over 1. Raises UsageError before any run if two runs would share a
+    config id (the id names a CSV row).
     """
     base = base or Config()
     cfgs = []
@@ -627,9 +621,6 @@ def run_sweep(deltas, base=None, parallel=None):
             cfg = replace(base, **delta)
             cfg.cam = cam
             cfg.validate()
-            if cfg.trace_file:
-                raise UsageError("a sweep cannot write trace file %r: trace "
-                                 "a single run instead" % cfg.trace_file)
             cid = config_id_of(cfg)
             if cid in ids:
                 raise UsageError("two sweep runs share config id %r" % cid)
@@ -637,8 +628,10 @@ def run_sweep(deltas, base=None, parallel=None):
             cfgs.append(cfg)
     if parallel is None:
         parallel = min(8, os.cpu_count() or 1)
-    if parallel > 1 and len(cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # more workers than runs would only fork idle processes
+    workers = min(parallel, len(cfgs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_for_pool, cfgs))
     else:
         results = [_run_for_pool(c) for c in cfgs]
@@ -680,16 +673,6 @@ def format_csv(rows):
             ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(rows, destination):
-    """Write the sweep table; one row per run, newline-terminated."""
-    text = format_csv(rows)
-    try:
-        with open(destination, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError("cannot write CSV to %r: %s" % (destination, exc)) from exc
 
 
 # -- the paper sweep preset ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from camsim.cli import main, parse_config_file
+from camsim.harness import SimulationError
 from camsim.topology import ConfigError
 
 
@@ -78,12 +79,54 @@ def test_out_file(tmp_path):
     assert dest.read_text().startswith("config_id,")
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("a simulation ran")
+
+
 def test_sweep_with_trace_reported(tmp_path, capsys):
     trace = tmp_path / "trace.log"
     rc = main(["--sweep", "paper", "--trace", str(trace)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("camsim: a sweep cannot write")
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_reported(jobs, capsys, monkeypatch):
+    monkeypatch.setattr("camsim.cli.run_sweep", no_run)
+    assert main(["--sweep", "paper", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == (
+        "camsim: --jobs must be >= 1, got %s\n" % jobs)
+
+
+TRACED = ["--topology", "torus2d", "--procs", "4", "--counters", "3",
+          "--iters", "2", "--noncrit-work", "5", "--cam", "on"]
+
+
+def test_failed_traced_run_leaves_its_partial_trace(tmp_path, monkeypatch):
+    full, partial = tmp_path / "full.log", tmp_path / "partial.log"
+    assert main(TRACED + ["--trace", str(full), "--out",
+                          str(tmp_path / "run.csv")]) == 0
+    # the first SWMR check, when a transaction closes, finds a violation
+    monkeypatch.setattr("camsim.harness.check_swmr",
+                        lambda caches, addr: ["planted"])
+    with pytest.raises(SimulationError, match="planted"):
+        main(TRACED + ["--trace", str(partial)])
+    # the trace ends with the transition whose check failed
+    text = partial.read_text()
+    assert text.endswith("\n") and text.split()[-5] == "unblock"
+    assert full.read_text().startswith(text) and len(text) < len(
+        full.read_text())
+
+
+def test_program_too_large_leaves_an_existing_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.log"
+    trace.write_text("an earlier trace\n")
+    rc = main(["--procs", "16", "--iters", "100", "--noncrit-work",
+               "10000000", "--trace", str(trace)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("camsim: address map needs")
+    assert trace.read_text() == "an earlier trace\n"
 
 
 def test_program_too_large_reported(capsys):
@@ -96,13 +139,9 @@ def test_program_too_large_reported(capsys):
         assert captured.out == ""
 
 
-def no_run(*args, **kwargs):
-    raise AssertionError("a simulation ran")
-
-
 def test_unwritable_out_reported_before_running(tmp_path, capsys,
                                                 monkeypatch):
-    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    monkeypatch.setattr("camsim.cli.Simulator", no_run)
     dest = tmp_path / "missing-dir" / "run.csv"
     rc = main(["--procs", "4", "--counters", "4", "--out", str(dest)])
     assert rc == 2
@@ -112,7 +151,7 @@ def test_unwritable_out_reported_before_running(tmp_path, capsys,
 
 def test_unwritable_trace_reported_before_running(tmp_path, capsys,
                                                   monkeypatch):
-    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    monkeypatch.setattr("camsim.cli.Simulator", no_run)
     rc = main(["--procs", "4", "--counters", "4", "--trace", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(
@@ -121,7 +160,7 @@ def test_unwritable_trace_reported_before_running(tmp_path, capsys,
 
 def test_writable_destinations_are_not_created_by_the_check(tmp_path,
                                                             monkeypatch):
-    monkeypatch.setattr("camsim.cli.run_simulation", no_run)
+    monkeypatch.setattr("camsim.cli.Simulator", no_run)
     out, trace = tmp_path / "run.csv", tmp_path / "trace.log"
     with pytest.raises(AssertionError, match="a simulation ran"):
         main(["--procs", "4", "--counters", "4", "--out", str(out),

@@ -26,7 +26,8 @@ CONFIG = dict(topology="crossbar", procs=4, counters=2, iters=2,
 
 
 def write_trace(path):
-    Simulator(Config(trace_file=path, **CONFIG)).run()
+    with open(path, "w") as trace:
+        Simulator(Config(**CONFIG)).run(trace)
 
 
 def test_trace_matches_golden(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end simulation behavior, stats, sweeps and CSV emission."""
 
+import io
 import re
 from dataclasses import replace
 
@@ -29,7 +30,6 @@ from camsim.harness import (
     _R_CORE,
     compute_speedup,
     config_id_of,
-    emit_csv,
     format_csv,
     paper_preset,
     ratio_of,
@@ -345,21 +345,6 @@ def test_stalled_request_reissued_after_its_writeback():
     assert sim.waiting[1] is None and reissues(sim) == [(101, 1)]
 
 
-def test_trace_file_untouched_until_run(tmp_path):
-    path = tmp_path / "trace.log"
-    path.write_text("an earlier trace\n")
-    Simulator(small_cfg(trace_file=str(path)))
-    assert path.read_text() == "an earlier trace\n"
-
-
-def test_trace_file_closed_when_run_fails(tmp_path):
-    sim = Simulator(small_cfg(trace_file=str(tmp_path / "trace.log")))
-    drop_first_issue(sim, range(4))
-    with pytest.raises(SimulationError):
-        sim.run()
-    assert sim._trace_out.closed
-
-
 def test_ratio_definition():
     assert abs(ratio_of(298038, 479900) - 0.383113) < 5e-7
     assert ratio_of(0, 0) == 0.0
@@ -415,6 +400,32 @@ def test_process_pool_sweep_matches_serial():
     assert pooled == format_csv(run_sweep(deltas, parallel=1))
 
 
+def test_sweep_forks_no_more_workers_than_runs(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the worker count it is asked for; maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("camsim.harness.ProcessPoolExecutor", SerialPool)
+    deltas = [dict(SMALL), dict(SMALL, counters=4)]
+    pooled = format_csv(run_sweep(deltas, parallel=10_000))
+    assert asked == [4]
+    assert pooled == format_csv(run_sweep(deltas, parallel=1))
+    assert asked == [4]
+
+
 def test_sweep_records_errors_and_continues():
     # the second pair's scratch regions overflow 1 MB of memory
     deltas = [dict(SMALL), dict(SMALL, counters=3, mem_mb=1,
@@ -429,14 +440,6 @@ def test_sweep_rejects_colliding_config_ids():
     # the id omits the seed, so the second pair would replace the first
     with pytest.raises(UsageError, match="crossbar.4p.c6.bw125.base"):
         run_sweep([dict(SMALL, seed=1), dict(SMALL, seed=2)], parallel=1)
-
-
-def test_sweep_rejects_trace_file(tmp_path):
-    path = tmp_path / "trace.log"
-    with pytest.raises(UsageError, match="trace file"):
-        run_sweep([dict(SMALL)], base=Config(trace_file=str(path)),
-                  parallel=1)
-    assert not path.exists()
 
 
 def test_wrong_final_counter_raises(monkeypatch):
@@ -458,7 +461,7 @@ def test_wrong_final_counter_raises(monkeypatch):
         assert row.stats is None and "counter 0x80" in row.error
 
 
-def test_csv_format(tmp_path):
+def test_csv_format():
     base = run_simulation(small_cfg())
     cam = run_simulation(small_cfg(cam=True))
     rows = [
@@ -466,9 +469,8 @@ def test_csv_format(tmp_path):
         SweepRow(config_id_of(small_cfg(cam=True)), cam,
                  compute_speedup(base, cam)),
     ]
-    out = tmp_path / "sweep.csv"
-    emit_csv(rows, str(out))
-    lines = out.read_text().splitlines()
+    text = format_csv(rows)
+    lines = text.splitlines()
     assert lines[0] == ("config_id,topology,procs,counters,iters,bandwidth,"
                         "cam,seed,cycles,crit_reqs,noncrit_reqs,ratio,"
                         "avg_link_util,avg_contention_cycles,speedup")
@@ -477,35 +479,35 @@ def test_csv_format(tmp_path):
     cam_cells = lines[2].split(",")
     assert base_cells[6] == "off" and cam_cells[6] == "on"
     assert base_cells[-1] == "" and cam_cells[-1] != ""
-    assert out.read_text().endswith("\n")
+    assert text.endswith("\n")
     # six decimal places on floats
     assert len(base_cells[11].split(".")[1]) == 6
 
 
-def test_csv_header_only_for_empty_table(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_csv([], str(out))
-    text = out.read_text()
+def test_csv_header_only_for_empty_table():
+    text = format_csv([])
     assert text.count("\n") == 1 and text.startswith("config_id,")
 
 
-def test_emit_csv_bad_path():
-    with pytest.raises(OSError):
-        emit_csv([], "/nonexistent-dir/x.csv")
+def test_csv_error_row_is_blank_after_its_id():
+    # a failed run keeps its row, named by its id, with every other cell
+    # empty; the error text itself is not a CSV column
+    text = format_csv([SweepRow("crossbar.4p.c6.bw125.cam", None,
+                                error="SimulationError: deadlock")])
+    header, row = text.splitlines()
+    assert row.split(",") == ["crossbar.4p.c6.bw125.cam"] + [""] * (
+        len(header.split(",")) - 1)
 
 
-def test_byte_identical_csv_across_runs(tmp_path):
-    def emit_once(path):
+def test_byte_identical_csv_across_runs():
+    def format_once():
         base = run_simulation(small_cfg())
         cam = run_simulation(small_cfg(cam=True))
         rows = [SweepRow(config_id_of(small_cfg()), base),
                 SweepRow(config_id_of(small_cfg(cam=True)), cam,
                          compute_speedup(base, cam))]
-        emit_csv(rows, str(path))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_once(a)
-    emit_once(b)
-    assert a.read_bytes() == b.read_bytes()
+        return format_csv(rows).encode()
+    assert format_once() == format_once()
 
 
 def test_paper_preset_matrix_size():
@@ -516,10 +518,10 @@ def test_paper_preset_matrix_size():
     assert len(seen) == 24
 
 
-def test_trace_log_written(tmp_path):
-    path = tmp_path / "trace.log"
-    run_simulation(small_cfg(iters=1, trace_file=str(path)))
-    lines = path.read_text().splitlines()
+def test_trace_log_written():
+    trace = io.StringIO()
+    Simulator(small_cfg(iters=1)).run(trace)
+    lines = trace.getvalue().splitlines()
     assert lines
     # format: cycle node event addr old new crit
     parts = lines[0].split()
@@ -527,13 +529,13 @@ def test_trace_log_written(tmp_path):
     int(parts[0]); int(parts[1]); int(parts[-1])
 
 
-def test_untagged_trace_logs_nothing_critical(tmp_path):
+def test_untagged_trace_logs_nothing_critical():
     # without crit tagging no request is critical, so neither is any cache
     # or directory transition, nor any message sent or received
-    path = tmp_path / "trace.log"
-    run_simulation(small_cfg(counters=2, iters=1, noncrit_work=2,
-                             crit_tagging=False, trace_file=str(path)))
-    lines = path.read_text().splitlines()
+    trace = io.StringIO()
+    Simulator(small_cfg(counters=2, iters=1, noncrit_work=2,
+                        crit_tagging=False)).run(trace)
+    lines = trace.getvalue().splitlines()
     assert any(" issue_" in ln for ln in lines)
     assert [ln for ln in lines if ln.endswith(" 1")] == []
 

@@ -1,11 +1,18 @@
 """Exhaustive protocol exploration up to depth 8 (the acceptance suite
-runs depth 8 too), the visited-state keys that deduplicate it, and the
-controllers a successor shares with its parent."""
+runs depth 8 too), planted protocol bugs that it must catch, the
+visited-state keys that deduplicate it, and the controllers a successor
+shares with its parent."""
 
 import copy
 from collections import deque
 
+import pytest
+
+from camsim import coherence
 from camsim.coherence import (
+    FWD_GETX,
+    ST_OM,
+    ST_S,
     CacheController,
     DirectoryController,
     _Block,
@@ -13,7 +20,13 @@ from camsim.coherence import (
     _Txn,
 )
 from camsim.memhier import CacheArray, CacheGeometry
-from camsim.modelcheck import _System, _Visited, _successor, run_check
+from camsim.modelcheck import (
+    CheckFailure,
+    _System,
+    _Visited,
+    _successor,
+    run_check,
+)
 from camsim.network import Message
 from test_coherence import block_record_problems
 
@@ -63,6 +76,41 @@ def test_depth_seven_clean():
 
 def test_depth_eight_clean():
     assert counts(8) == PINNED[8]
+
+
+# -- planted bugs: each must fail the check ------------------------------------
+
+def test_check_fails_when_a_sharer_keeps_its_copy_on_inv(monkeypatch):
+    monkeypatch.setitem(coherence._INV_NEXT, ST_S, ST_S)
+    with pytest.raises(CheckFailure, match="stale S copy at node 1: 2 != 3"):
+        run_check(max_ops=4)
+
+
+def test_check_fails_when_a_writeback_loses_its_data(monkeypatch):
+    real = DirectoryController._on_putx
+
+    def on_putx_keeping_memory(self, e, msg):
+        before = self.memory.get(msg.addr)
+        out = real(self, e, msg)
+        if before is None:
+            self.memory.pop(msg.addr, None)
+        else:
+            self.memory[msg.addr] = before
+        return out
+
+    monkeypatch.setattr(DirectoryController, "_on_putx",
+                        on_putx_keeping_memory)
+    with pytest.raises(CheckFailure,
+                       match="token 0 != last completed store 2"):
+        run_check(max_ops=4)
+
+
+def test_check_fails_when_an_om_owner_refuses_fwd_getx(monkeypatch):
+    monkeypatch.delitem(coherence._FWD_NEXT[FWD_GETX], ST_OM)
+    with pytest.raises(CheckFailure,
+                       match=r"protocol assertion after deliver .*"
+                             r"Fwd_GETX but not owner"):
+        run_check(max_ops=4)
 
 
 # -- visited keys ------------------------------------------------------------
