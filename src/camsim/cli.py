@@ -5,6 +5,11 @@ speedup/sensitivity matrix (baseline+CAM pairs) and emits one row per run
 plus speedups on the CAM rows. A config file of `key = value` lines can
 seed any Config field; command-line flags override it. This is the one
 module that opens files: the config file, `--out` and `--trace`.
+
+Exit status: 0 when every run finished correctly, 1 when a run failed
+(each failure is reported on stderr; a sweep still writes its CSV, with a
+failed run's row blank after its id), 2 for a usage, config or program
+error found before any run.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import os
 import sys
 from dataclasses import fields
 
+from .coherence import ProtocolError
 from .harness import (
     Config,
     SWEEP_PRESETS,
+    SimulationError,
     Simulator,
     SweepRow,
     UsageError,
@@ -171,10 +178,17 @@ def main(argv=None):
     except (ConfigError, WorkloadError, UsageError) as exc:
         print("camsim: %s" % exc, file=sys.stderr)
         return 2
+    except (SimulationError, ProtocolError) as exc:
+        print("camsim: %s" % exc, file=sys.stderr)
+        return 1
 
     with _open_or(args.out, sys.stdout) as fh:
         fh.write(format_csv(rows))
-    return 0
+    # the CSV leaves a failed run's cells blank; say why it failed
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        print("%s: %s" % (row.config_id, row.error), file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -49,8 +49,6 @@ reaches the directory, and the model checker at every quiescent state.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .memhier import CacheArray
 from .network import Message
 
@@ -497,7 +495,7 @@ class _DirEntry:
         self.owner = None
         self.sharers = _NO_SHARERS
         self.busy = None       # (requester, final_state, final_owner, final_sharers)
-        self.pending = None    # deque of queued requests, made on first use
+        self.pending = None    # list of queued requests, made on first use
 
 
 class DirectoryController:
@@ -544,10 +542,10 @@ class DirectoryController:
                     raise ProtocolError(self.node, addr, DIR_NAMES[e.state],
                                         "replayed %s is not the head of an "
                                         "idle entry's queue" % MSG_NAMES[mt])
-                e.pending.popleft()
+                del e.pending[0]
             elif e.state == DIR_BUSY or e.pending:
                 if e.pending is None:
-                    e.pending = deque()
+                    e.pending = []
                 e.pending.append(msg)
                 self._trace("queue_" + MSG_NAMES[mt], addr, e.state, e.state,
                             msg.crit)

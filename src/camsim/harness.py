@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .coherence import (
@@ -631,6 +630,9 @@ def run_sweep(deltas, base=None, parallel=None):
     # more workers than runs would only fork idle processes
     workers = min(parallel, len(cfgs))
     if workers > 1:
+        # imported here, so a process that never forks loads no
+        # multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_for_pool, cfgs))
     else:

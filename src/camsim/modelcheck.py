@@ -4,7 +4,7 @@ Two caches and one directory share a single block. The checker enumerates
 every interleaving of core operations (load, store, replacement) up to a
 bounded operation count, crossed with every message delivery order that
 keeps one FIFO channel per (source node, receiving agent, vnet); see
-`_absorb`. Messages on different channels reorder freely.
+`_route`. Messages on different channels reorder freely.
 
 Coverage limits. First, a channel is coarser than a source/destination
 pair. The directory and cache 0 are both node 0, so their messages to a
@@ -14,7 +14,7 @@ receiving agent, vnet) reaches 24,275 / 768 / 51,312 states / quiescent
 states / transitions at depth 6, against 22,903 / 768 / 47,470 here, and
 finds no violation (ROADMAP item 5).
 
-Second, `_System.issue` always sends `crit=False`, so only the
+Second, `_System.step` always issues with `crit=False`, so only the
 non-critical vnets 0-2 ever carry messages. The checker covers reordering
 across message classes (request / forward / response), not the
 critical/non-critical reordering that CAM's priority arbiter introduces
@@ -26,44 +26,66 @@ authoritative data token must equal the value of the most recently
 completed store. Any ProtocolError raised by the controllers is a
 failure.
 
-A successor copies only the controller its transition can change. A
-delivery on a "d" channel can change only the directory, a delivery on a
-"c" channel only the cache the message is addressed to, and an `issue`
-only the issuing cache (`_System.changed_part`). `_successor` clones a
-state with one `copy.deepcopy`, passing a memo that maps every other
-controller to itself, so `_System.__deepcopy__` copies that controller,
-the channel dicts and the bookkeeping, and shares the other controllers
-with the parent. The sharing is exact because a controller is written
-only by the `apply` right after it was copied: the parent is never
-applied to again, and a later transition that can change a shared
-controller copies it first. `copy.deepcopy` without a memo copies every
+A transition can change only one controller: a delivery on a "d" channel
+the directory, on a "c" channel the cache the message is addressed to,
+and an `issue` the issuing cache (`_System.changed_part`). `_System.apply`
+splits a transition in two. `step` runs that one controller: `handle`,
+plus the directory's replay loop, for a delivery, or `load`, `store` or
+`evict` for an issue. `advance` is the bookkeeping every transition does:
+it takes the delivered message off its channel or counts the operation,
+queues what the step sent, and writes `last_store`.
+
+A controller step is a function of three things: the controller's
+position, its part of `encode()` and the choice. So a run records each
+step once, in `_Steps`, and looks it up afterwards: collapse compression
+applied to transitions. At depth 6 the 47,470 transitions take 3,230
+distinct steps. Every successor is one `copy.deepcopy` of its parent,
+with a memo that maps controllers to themselves, so
+`_System.__deepcopy__` copies the channel dicts and the bookkeeping and
+shares those controllers. For a step not seen before, the controller it
+changes is left out of the memo, so it is cloned, and the step runs on
+the clone and is recorded. A recorded step installs the controller it
+recorded: no clone, no handler, no encoding. Step results are canonical
+per (position, part id), one controller object each; the position is
+part of the key because `node` is not encoded, so the two caches can
+have equal parts. `copy.deepcopy` without a memo copies every
 controller. The `_clone_*` helpers next to the encoders say what copying
 a controller means, so this module alone says what a checker state is.
-Messages are always shared: only the timed simulator writes a message
-after it is built (its size, route, hop and stamp), and the checker
-never does.
+
+Why the lookup is exact. First, `encode()` holds everything about a
+controller that decides its future behaviour. The one field it leaves
+out, a cache's L1 array, only picks the "l1" or "l2" hit tier, and the
+checker ignores the tier. Second, a controller is never written after
+the step that created it: a parent is never applied to again, and a new
+step always clones the controller it runs. So one canonical controller
+can be shared by any number of states. A step records the `last_store`
+value it writes, not whether the value changed, so a hit from a parent
+that held another value still gets the write. Messages are always
+shared: only the timed simulator writes a message after it is built
+(its size, route, hop and stamp), and the checker never does. A
+recorded step's messages, kept once per encoding, are queued by every
+hit.
 
 Visited states are keyed by interned parts (collapse compression, as in
 SPIN: Holzmann 1997). `_System.encode()` returns a flat tuple of parts,
 one per cache, then the directory, the channels and the operation
 bookkeeping. One per-run table gives each distinct part value a dense
 int id, and the visited set holds only the ids, packed into one int. A
-part value recurs across many states but is stored once, in the table,
-so the checker's traced peak at depth 5 is about 180 B per visited state
-instead of about 1.5 kB with the full nested encodings. Keys are equal
-exactly when encodings are equal, so the explored states and counts are
-those of deduplicating by the encoding itself. A successor's key reuses
-its parent's ids for the controllers the two share, whose parts are
-equal because the controllers are the same objects; only the changed
-controller, the channels and the bookkeeping are encoded and looked up.
-Each message is encoded once, when `_absorb` queues it, so the channels'
-part is built from tuples that exist already.
+part value recurs across many states but is stored once, in the table.
+Keys are equal exactly when encodings are equal, so the explored states
+and counts are those of deduplicating by the encoding itself. A
+successor's key takes its parent's ids for the controllers the two
+share and the recorded step's id for the changed one; only the channels
+and the bookkeeping are encoded and looked up. Each message is encoded
+once, when the step that sends it is recorded, so the channels' part is
+built from tuples that exist already. The checker's traced peak at
+depth 5 is about 170 B per visited state for the keys and parts, plus
+about 110 B for the recorded steps.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
 
 from .coherence import (
@@ -119,7 +141,7 @@ class _System:
 
     def __deepcopy__(self, memo):
         # `memo` maps each controller the copy may share to itself (see
-        # `_successor`); every other controller is cloned, so a plain
+        # `_Steps.successor`); every other controller is cloned, so a plain
         # `copy.deepcopy`, whose memo starts empty, shares none. Channel
         # values are tuples, replaced rather than written.
         twin = _System.__new__(_System)
@@ -135,58 +157,26 @@ class _System:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _agent(self, msg):
-        return "d" if msg.mtype in DIR_BOUND else "c"
-
-    def _absorb(self, msgs):
+    def _absorb(self, routed):
+        """Queue `_route`d messages, in order, each at its channel's tail."""
         channels, codes = self.channels, self.codes
-        for msg in msgs:
-            key = (msg.src, self._agent(msg),
-                   vnet_of(CLASS_OF[msg.mtype], msg.crit))
+        for key, msg, code in routed:
             channels[key] = channels.get(key, ()) + (msg,)
-            codes[key] = codes.get(key, ()) + (_enc_msg(msg),)
+            codes[key] = codes.get(key, ()) + (code,)
+
+    def controller(self, i):
+        """Controller `i` in the order of `encode()`'s parts: cache `i`,
+        or the directory at `_DIR`."""
+        return self.dir if i == _DIR else self.caches[i]
+
+    def install(self, i, controller):
+        """Make `controller` this state's controller `i`."""
+        if i == _DIR:
+            self.dir = controller
+        else:
+            self.caches[i] = controller
 
     # -- choices ---------------------------------------------------------------
-
-    def deliver(self, key):
-        msgs = self.channels[key]
-        msg = msgs[0]
-        if len(msgs) > 1:
-            self.channels[key] = msgs[1:]
-            self.codes[key] = self.codes[key][1:]
-        else:
-            del self.channels[key], self.codes[key]
-        if key[1] == "d":
-            out, _, replay = self.dir.handle(msg)
-            self._absorb(out)
-            # serve the queue at once until it re-blocks or empties
-            while replay is not None:
-                out, _, replay = self.dir.handle(replay, from_queue=True)
-                self._absorb(out)
-        else:
-            cache = self.caches[msg.dst]
-            out, done = cache.handle(msg)
-            self._absorb(out)
-            # a load returns the value it read, a store None; the stored
-            # value is in the block
-            if done is not None and done[1] is None:
-                self.last_store = cache.blocks[_BLOCK].data
-
-    def issue(self, node, op):
-        cache = self.caches[node]
-        self.ops_used += 1
-        if op == "load":
-            _, msgs = cache.load(_BLOCK, False)
-            self._absorb(msgs)
-        elif op == "store":
-            value = self.next_value
-            self.next_value += 1
-            (tier, _), msgs = cache.store(_BLOCK, False, value)
-            if tier != "miss":
-                self.last_store = value
-            self._absorb(msgs)
-        else:  # evict
-            self._absorb(cache.evict(_BLOCK))
 
     def choices(self, max_ops):
         """Every enabled (action, arg) pair, in exploration order."""
@@ -197,10 +187,64 @@ class _System:
         return out
 
     def apply(self, action, arg):
+        """Take one choice: its controller step, then the bookkeeping."""
+        out, stored = self.step(action, arg)
+        self.advance(action, arg, _route(out), stored)
+
+    def step(self, action, arg):
+        """Run the one controller `changed_part` names on a choice.
+
+        A delivery hands the head message of channel `arg` to its
+        controller (the directory then serves its queue at once, until it
+        re-blocks or empties); an issue runs the core operation `arg` =
+        (node, op) on that node's cache, a store writing `next_value`.
+        Writes nothing but that controller. Returns the messages it sent,
+        in emission order, and the value it writes to `last_store`, else
+        None.
+        """
         if action == "deliver":
-            self.deliver(arg)
+            msg = self.channels[arg][0]
+            if arg[1] == "d":
+                out, _, replay = self.dir.handle(msg)
+                while replay is not None:
+                    more, _, replay = self.dir.handle(replay, from_queue=True)
+                    out = out + more
+                return out, None
+            cache = self.caches[msg.dst]
+            out, done = cache.handle(msg)
+            # a load returns the value it read, a store None; the stored
+            # value is in the block
+            if done is not None and done[1] is None:
+                return out, cache.blocks[_BLOCK].data
+            return out, None
+        node, op = arg
+        cache = self.caches[node]
+        if op == "load":
+            return cache.load(_BLOCK, False)[1], None
+        if op == "store":
+            (tier, _), out = cache.store(_BLOCK, False, self.next_value)
+            return out, None if tier == "miss" else self.next_value
+        return cache.evict(_BLOCK), None
+
+    def advance(self, action, arg, routed, stored):
+        """The bookkeeping of every transition, given its step's result:
+        take the delivered message off its channel, or count the issued
+        operation; queue the `_route`d messages the step sent; write
+        `stored` to `last_store` unless it is None."""
+        if action == "deliver":
+            msgs = self.channels[arg]
+            if len(msgs) > 1:
+                self.channels[arg] = msgs[1:]
+                self.codes[arg] = self.codes[arg][1:]
+            else:
+                del self.channels[arg], self.codes[arg]
         else:
-            self.issue(*arg)
+            self.ops_used += 1
+            if arg[1] == "store":
+                self.next_value += 1
+        self._absorb(routed)
+        if stored is not None:
+            self.last_store = stored
 
     def changed_part(self, action, arg):
         """Index in `encode()` of the one controller `apply(action, arg)`
@@ -276,6 +320,18 @@ class _System:
 def _enc_msg(m):
     return (m.mtype, m.crit, m.src, m.dst, m.addr, m.requester, m.acks,
             m.value, m.excl)
+
+
+def _route(msgs):
+    """Each message as (channel key, message, `_enc_msg` code), in order.
+
+    The key is (src node, receiving agent, vnet); the agent is "d" for a
+    directory-bound message, else "c". Each message is encoded once, here,
+    so the channels' part of `encode()` is built from existing tuples.
+    """
+    return tuple([((m.src, "d" if m.mtype in DIR_BOUND else "c",
+                    vnet_of(CLASS_OF[m.mtype], m.crit)), m, _enc_msg(m))
+                  for m in msgs])
 
 
 def _enc_cache(c):
@@ -355,27 +411,78 @@ def _clone_dir(directory):
         ent.owner = e.owner
         ent.sharers = e.sharers
         ent.busy = e.busy
-        ent.pending = deque(e.pending) if e.pending else None
+        ent.pending = e.pending[:] if e.pending else None
     twin.trace = directory.trace
     return twin
 
 
-def _successor(sys, action, arg):
-    """Copy `sys` and apply one choice to the copy.
+class _Steps:
+    """The controller steps taken so far in one run, each kept once.
 
-    Returns the copy and `sys.changed_part(action, arg)`. The copy shares
-    every other controller with `sys`.
+    A controller step (`_System.step`) is a function of the controller's
+    position, its part of `encode()` and the choice, so a run looks a step
+    up instead of applying it again. `table` maps (part id, choice id,
+    position), packed into one int, to the step's result: (controller,
+    its part id, the `_route`d messages it sent, the `last_store` it
+    writes, else None). A choice is (channel key, head message code) for
+    a delivery and ((node, op), the value a store writes, else None) for
+    an issue; `choices` gives each a dense int. `canon` holds one
+    controller per (part id, position), packed the same way, which every
+    step that ends in that part installs. Part ids are the ones
+    `_Visited` gives (`ids` is its table).
     """
-    changed = sys.changed_part(action, arg)
-    controllers = (*sys.caches, sys.dir)
-    shared = {id(c): c for i, c in enumerate(controllers) if i != changed}
-    succ = copy.deepcopy(sys, shared)
-    try:
-        succ.apply(action, arg)
-    except ProtocolError as exc:
-        raise CheckFailure("protocol assertion after %s %r: %s"
-                           % (action, arg, exc)) from exc
-    return succ, changed
+
+    __slots__ = ("ids", "choices", "table", "canon", "sent")
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.choices = {}
+        self.table = {}
+        self.canon = {}
+        self.sent = {}
+
+    def successor(self, sys, key, action, arg):
+        """Copy `sys` and take one choice on the copy; `key` is the key
+        `_Visited` gave `sys`.
+
+        Returns the copy, the position of the one controller the choice
+        can change (`_System.changed_part`) and that controller's part
+        id. The copy shares every other controller with `sys`. Either way
+        the copy is one outermost `copy.deepcopy`: a step seen before
+        shares all of `sys`'s controllers and installs the recorded one,
+        and a new step copies the controller it runs.
+        """
+        pos = sys.changed_part(action, arg)
+        if action == "deliver":
+            choice = (arg, sys.codes[arg][0])
+        else:
+            choice = (arg, sys.next_value if arg[1] == "store" else None)
+        choices = self.choices
+        step = (key[pos] << 32 | choices.setdefault(choice, len(choices))) \
+            << 2 | pos
+        controllers = (*sys.caches, sys.dir)
+        done = self.table.get(step)
+        if done is None:
+            shared = {id(c): c for i, c in enumerate(controllers) if i != pos}
+            succ = copy.deepcopy(sys, shared)
+            try:
+                out, stored = succ.step(action, arg)
+            except ProtocolError as exc:
+                raise CheckFailure("protocol assertion after %s %r: %s"
+                                   % (action, arg, exc)) from exc
+            ids = self.ids
+            part = ids.setdefault(succ.controller_part(pos), len(ids))
+            controller = self.canon.setdefault(part << 2 | pos,
+                                               succ.controller(pos))
+            sent = self.sent
+            routed = tuple([sent.setdefault(r[2], r) for r in _route(out)])
+            done = self.table[step] = (controller, part, routed, stored)
+        else:
+            succ = copy.deepcopy(sys, {id(c): c for c in controllers})
+        controller, part, routed, stored = done
+        succ.install(pos, controller)
+        succ.advance(action, arg, routed, stored)
+        return succ, pos, part
 
 
 class _Visited:
@@ -398,16 +505,17 @@ class _Visited:
         return len(self.keys)
 
     def key(self, sys, hint=None):
-        """The key of `sys`. A `hint` is (parent key, changed part) for a
-        state `_successor` made: every controller part but the changed
-        one is the parent's, so its id is taken from the parent's key."""
+        """The key of `sys`. A `hint` is (parent key, changed position,
+        that controller's part id) for a state `_Steps.successor` made:
+        every other controller part is the parent's, so its id is taken
+        from the parent's key."""
         ids = self.ids
         if hint is None:
             return tuple([ids.setdefault(part, len(ids))
                           for part in sys.encode()])
-        parent, changed = hint
+        parent, changed, part = hint
         key = list(parent)
-        key[changed] = ids.setdefault(sys.controller_part(changed), len(ids))
+        key[changed] = part
         chans, book = sys.transit_parts()
         key[-2] = ids.setdefault(chans, len(ids))
         key[-1] = ids.setdefault(book, len(ids))
@@ -434,6 +542,7 @@ def run_check(max_ops=6):
     """
     root = _System()
     visited = _Visited()
+    steps = _Steps(visited.ids)
     stack = [(root, visited.add(root))]     # each state with its key
     quiescent = 0
     transitions = 0
@@ -447,9 +556,9 @@ def run_check(max_ops=6):
                 raise CheckFailure("invariant violation: %s"
                                    % "; ".join(problems))
         for action, arg in sys.choices(max_ops):
-            succ, changed = _successor(sys, action, arg)
+            succ, changed, part = steps.successor(sys, key, action, arg)
             transitions += 1
-            succ_key = visited.add(succ, (key, changed))
+            succ_key = visited.add(succ, (key, changed, part))
             if succ_key is not None:
                 stack.append((succ, succ_key))
     return CheckResult(len(visited), quiescent, transitions)

@@ -3,8 +3,9 @@
 import pytest
 
 from camsim.cli import main, parse_config_file
-from camsim.harness import SimulationError
+from camsim.harness import SWEEP_PRESETS
 from camsim.topology import ConfigError
+from test_harness import serial_pool
 
 
 def test_single_run_csv_to_stdout(capsys):
@@ -103,20 +104,52 @@ TRACED = ["--topology", "torus2d", "--procs", "4", "--counters", "3",
           "--iters", "2", "--noncrit-work", "5", "--cam", "on"]
 
 
-def test_failed_traced_run_leaves_its_partial_trace(tmp_path, monkeypatch):
+def test_failed_traced_run_leaves_its_partial_trace(tmp_path, monkeypatch,
+                                                    capsys):
     full, partial = tmp_path / "full.log", tmp_path / "partial.log"
     assert main(TRACED + ["--trace", str(full), "--out",
                           str(tmp_path / "run.csv")]) == 0
     # the first SWMR check, when a transaction closes, finds a violation
     monkeypatch.setattr("camsim.harness.check_swmr",
                         lambda caches, addr: ["planted"])
-    with pytest.raises(SimulationError, match="planted"):
-        main(TRACED + ["--trace", str(partial)])
+    assert main(TRACED + ["--trace", str(partial)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("camsim: SWMR violation at cycle ")
+    assert err.endswith(": planted\n") and err.count("\n") == 1
     # the trace ends with the transition whose check failed
     text = partial.read_text()
     assert text.endswith("\n") and text.split()[-5] == "unblock"
     assert full.read_text().startswith(text) and len(text) < len(
         full.read_text())
+
+
+def test_failed_sweep_runs_are_named_on_stderr(monkeypatch, capsys):
+    asked = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        serial_pool(asked))
+    monkeypatch.setitem(SWEEP_PRESETS, "pair",
+                        lambda: [dict(procs=2), dict(procs=4)])
+    args = ["--topology", "crossbar", "--counters", "2", "--iters", "1",
+            "--noncrit-work", "2", "--sweep", "pair", "--jobs", "2"]
+    assert main(args) == 0
+    healthy = capsys.readouterr()
+    assert asked == [2] and healthy.err == ""
+    # every 4-processor run fails its first SWMR check
+    monkeypatch.setattr("camsim.harness.check_swmr",
+                        lambda caches, addr: ["planted"] * (len(caches) == 4))
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    # the CSV is the one a sweep writes, a failed run's row blank after its id
+    assert rows[:3] == healthy.out.splitlines()[:3]
+    assert rows[3:] == ["crossbar.4p.c2.bw125.base" + "," * 14,
+                        "crossbar.4p.c2.bw125.cam" + "," * 14]
+    lines = err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "crossbar.4p.c2.bw125.base", "crossbar.4p.c2.bw125.cam"]
+    assert all(line.split(": ", 1)[1].startswith(
+        "SimulationError: SWMR violation at cycle ")
+        and line.endswith(": planted") for line in lines)
 
 
 def test_program_too_large_leaves_an_existing_trace(tmp_path, capsys):

@@ -400,12 +400,11 @@ def test_process_pool_sweep_matches_serial():
     assert pooled == format_csv(run_sweep(deltas, parallel=1))
 
 
-def test_sweep_forks_no_more_workers_than_runs(monkeypatch):
-    asked = []
+def serial_pool(asked):
+    """A stand-in for `ProcessPoolExecutor` that maps in this process and
+    appends the worker count each pool is asked for to `asked`."""
 
     class SerialPool:
-        """Records the worker count it is asked for; maps in this process."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -418,7 +417,14 @@ def test_sweep_forks_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("camsim.harness.ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_sweep_forks_no_more_workers_than_runs(monkeypatch):
+    asked = []
+    # `run_sweep` imports the pool when it forks, from its home module
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        serial_pool(asked))
     deltas = [dict(SMALL), dict(SMALL, counters=4)]
     pooled = format_csv(run_sweep(deltas, parallel=10_000))
     assert asked == [4]

@@ -1,7 +1,11 @@
 """Import hygiene: every imported name is read, or re-exported in
-`__all__`, in the package, the tests and the benchmark."""
+`__all__`, in the package, the tests and the benchmark; and importing
+the package loads no process-pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +51,14 @@ def test_no_unused_imports():
             offenders += ["%s:%d %s" % (path.relative_to(ROOT), line, name)
                           for line, name in unused_imports(tree)]
     assert offenders == []
+
+
+def test_import_loads_no_multiprocessing():
+    # only a sweep that forks needs the process pool; a single run, the
+    # model checker and the benchmark workloads import none of it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, camsim; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout == "False\n"

@@ -2,7 +2,6 @@
 simulator constructed, and per state the model checker has visited."""
 
 import tracemalloc
-from collections import deque
 
 from camsim.coherence import (
     DIR_S,
@@ -43,7 +42,7 @@ def test_entries_hold_no_empty_containers():
             assert type(e.sharers) is frozenset
             assert e.busy is None
             if (d.node, addr) in queued:
-                assert type(e.pending) is deque and not e.pending
+                assert type(e.pending) is list and not e.pending
             else:
                 assert e.pending is None, (d.node, hex(addr))
             if not e.sharers:

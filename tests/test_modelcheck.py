@@ -1,10 +1,9 @@
 """Exhaustive protocol exploration up to depth 8 (the acceptance suite
 runs depth 8 too), planted protocol bugs that it must catch, the
-visited-state keys that deduplicate it, and the controllers a successor
-shares with its parent."""
+visited-state keys that deduplicate it, the controllers a successor
+shares with its parent, and the recorded controller steps it reuses."""
 
 import copy
-from collections import deque
 
 import pytest
 
@@ -22,9 +21,9 @@ from camsim.coherence import (
 from camsim.memhier import CacheArray, CacheGeometry
 from camsim.modelcheck import (
     CheckFailure,
+    _Steps,
     _System,
     _Visited,
-    _successor,
     run_check,
 )
 from camsim.network import Message
@@ -117,7 +116,7 @@ def test_check_fails_when_an_om_owner_refuses_fwd_getx(monkeypatch):
 
 def test_keys_tell_apart_transaction_crit_and_rmw_bits():
     state = _System()
-    state.issue(0, "load")
+    state.apply("issue", (0, "load"))
     visited = _Visited()
     assert visited.add(state)
     assert not visited.add(copy.deepcopy(state))
@@ -144,7 +143,7 @@ def test_block_records_in_every_reachable_state():
 
 _SHAREABLE = (int, str, type(None), CacheGeometry)
 # messages are shared by design; these never are
-_NEVER_SHARED = (_Block, _Txn, _DirEntry, list, dict, set, deque)
+_NEVER_SHARED = (_Block, _Txn, _DirEntry, list, dict, set)
 
 
 def reachable(max_ops):
@@ -177,7 +176,7 @@ def reachable_objects(root):
         if isinstance(obj, dict):
             todo.extend(obj.keys())
             todo.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+        elif isinstance(obj, (list, tuple, set, frozenset)):
             todo.extend(obj)
         elif hasattr(type(obj), "__slots__"):
             todo.extend(getattr(obj, name) for name in type(obj).__slots__)
@@ -237,7 +236,7 @@ def assert_same(a, b, path, seen):
         assert a.keys() == b.keys(), path
         for k in a:
             assert_same(a[k], b[k], "%s[%r]" % (path, k), seen)
-    elif isinstance(a, (list, tuple, deque)):
+    elif isinstance(a, (list, tuple)):
         assert len(a) == len(b), path
         for i, (x, y) in enumerate(zip(a, b)):
             assert_same(x, y, "%s[%d]" % (path, i), seen)
@@ -252,11 +251,15 @@ def assert_same(a, b, path, seen):
 
 def test_clones_equal_their_source_field_by_field():
     seen = set()
+    queued = 0
     for state in reachable(3):
         assert_same(state, copy.deepcopy(state), "state", seen)
-    # every kind of checker state was compared at least once
+        queued += any(e.pending for e in state.dir.entries.values())
+    # every kind of checker state was compared at least once, a directory
+    # queue holding requests among them
     assert {_System, CacheController, CacheArray, _Block, _Txn,
-            DirectoryController, _DirEntry, Message, deque} <= seen
+            DirectoryController, _DirEntry, Message} <= seen
+    assert queued
 
 
 # -- structural sharing -------------------------------------------------------
@@ -278,9 +281,11 @@ def may_change(state, action, arg):
 
 
 def test_successors_share_exactly_the_controllers_they_cannot_change():
-    # walk run_check's own successor path: `_successor` copies and
-    # applies, and keys are hinted with the parent's key
+    # walk run_check's own successor path: `_Steps.successor` copies and
+    # applies a new step or installs a recorded one, and keys are hinted
+    # with the parent's key
     visited = _Visited()
+    steps = _Steps(visited.ids)
     root = _System()
     stack = [(root, visited.add(root))]
     n_transitions = 0
@@ -290,19 +295,75 @@ def test_successors_share_exactly_the_controllers_they_cannot_change():
         for action, arg in parent.choices(5):
             n_transitions += 1
             changeable = may_change(parent, action, arg)
-            succ, changed = _successor(parent, action, arg)
+            recorded = {id(c) for c in steps.canon.values()}
+            succ, changed, part = steps.successor(parent, key, action, arg)
+            assert changed == changeable, (action, arg)
             pairs = list(zip(controllers(parent), controllers(succ)))
             shared = [i for i, (p, s) in enumerate(pairs) if p is s]
-            assert shared == [i for i in range(len(pairs))
-                              if i != changeable], (action, arg, shared)
-            # a shared controller is the parent's too: apply must not
-            # have written it
-            for i in shared:
-                assert_same(before[i], pairs[i][1],
+            assert [i for i in range(len(pairs)) if i != changeable] == \
+                [i for i in shared if i != changeable], (action, arg, shared)
+            # no parent controller was written, shared or not
+            for i, p in enumerate(controllers(parent)):
+                assert_same(before[i], p,
                             "%s %r: controller %d" % (action, arg, i), set())
-            hint = (key, changed)
+            # the changed controller is a fresh clone, which shares no
+            # mutable object with the parent, or a controller recorded
+            # earlier with an equal encoding; that may be the parent's own
+            # when the step leaves it unchanged
+            new = pairs[changeable][1]
+            if id(new) not in recorded:
+                new_objs = reachable_objects(new)
+                common = reachable_objects(parent).keys() & new_objs.keys()
+                assert not [i for i in common if isinstance(
+                    new_objs[i], _NEVER_SHARED)], (action, arg)
+            elif new is pairs[changeable][0]:
+                assert part == key[changeable], (action, arg)
+            hint = (key, changed, part)
             succ_key = visited.key(succ, hint)
+            # the recorded part id is that of the installed controller
             assert succ_key == visited.key(succ), (action, arg)
             if visited.add(succ, hint) is not None:
                 stack.append((succ, succ_key))
     assert (len(visited), n_transitions) == (PINNED[5][0], PINNED[5][2])
+
+
+def test_recorded_steps_match_applying_them():
+    # the oracle for `_Steps`: every successor it makes, from a recorded
+    # step or a new one, encodes exactly as a full copy with the choice
+    # applied; the table fills as the walk goes, so later states reuse
+    # steps recorded from other parents
+    visited = _Visited()
+    steps = _Steps(visited.ids)
+    n_choices = 0
+    for state in reachable(5):
+        key = visited.key(state)
+        before = state.encode()
+        for action, arg in state.choices(5):
+            n_choices += 1
+            plain = copy.deepcopy(state)
+            plain.apply(action, arg)
+            succ, _, _ = steps.successor(state, key, action, arg)
+            assert succ.encode() == plain.encode(), (action, arg, before)
+            assert state.encode() == before, (action, arg)
+    assert n_choices == PINNED[5][2]
+    # most choices were served from the table
+    assert len(steps.table) < n_choices / 4
+
+
+def test_a_recorded_step_writes_last_store_even_where_it_held_the_value():
+    # a store hit writes `last_store`; recorded from a parent that already
+    # held the stored value, the step must still write it on later hits
+    state = _System()
+    state.apply("issue", (0, "load"))
+    while state.channels:
+        state.apply("deliver", min(state.channels))
+    assert state.caches[0].state_of(0) == coherence.ST_E
+    held = copy.deepcopy(state)
+    held.last_store = held.next_value
+    visited = _Visited()
+    steps = _Steps(visited.ids)
+    for parent in (held, state):
+        succ, _, _ = steps.successor(parent, visited.key(parent), "issue",
+                                     (0, "store"))
+        assert succ.last_store == parent.next_value
+    assert len(steps.table) == 1
