@@ -428,8 +428,10 @@ class _Steps:
     a delivery and ((node, op), the value a store writes, else None) for
     an issue; `choices` gives each a dense int. `canon` holds one
     controller per (part id, position), packed the same way, which every
-    step that ends in that part installs. Part ids are the ones
-    `_Visited` gives (`ids` is its table).
+    step that ends in that part installs, and `sent` one `_route`d
+    message per message code, which every step that sends an equal
+    message queues. Part ids are the ones `_Visited` gives (`ids` is its
+    table).
     """
 
     __slots__ = ("ids", "choices", "table", "canon", "sent")
