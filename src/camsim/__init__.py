@@ -1,6 +1,6 @@
-"""camsim: a directory-coherent multiprocessor simulator whose interconnect
-carries critical-section traffic on dedicated virtual networks and gives it
-strict priority at link input buffers."""
+"""camsim: a directory-coherent multiprocessor simulator whose links queue
+critical-section traffic in a lane of its own and, with CAM enabled, serve
+that lane first."""
 
 from .coherence import (
     CacheController,
@@ -8,7 +8,6 @@ from .coherence import (
     ProtocolError,
     check_swmr,
     home_node,
-    vnet_of,
 )
 from .harness import (
     Config,
@@ -33,5 +32,5 @@ __all__ = [
     "ProtocolError", "RunStats", "SimulationError", "Topology",
     "build_topology", "check_swmr", "compute_speedup", "gen_microbenchmark",
     "home_node", "paper_preset", "ratio_of", "run_simulation", "run_sweep",
-    "serialization_cycles", "vnet_of",
+    "serialization_cycles",
 ]

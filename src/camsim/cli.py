@@ -2,9 +2,11 @@
 
 Single runs emit a one-row CSV; `--sweep paper` runs the full
 speedup/sensitivity matrix (baseline+CAM pairs) and emits one row per run
-plus speedups on the CAM rows. A config file of `key = value` lines can
-seed any Config field; command-line flags override it. This is the one
-module that opens files: the config file, `--out` and `--trace`.
+plus speedups on the CAM rows. Every Config field is both a flag
+(`noncrit_work` is `--noncrit-work`) and a key of the `key = value`
+config file; flags override the file, and both are read by one coercion.
+This is the one module that opens files: the config file, `--out` and
+`--trace`.
 
 Exit status: 0 when every run finished correctly, 1 when a run failed
 (each failure is reported on stderr; a sweep still writes its CSV, with a
@@ -32,7 +34,7 @@ from .harness import (
     format_csv,
     run_sweep,
 )
-from .topology import ConfigError, TOPOLOGY_KINDS
+from .topology import ConfigError
 from .workload import WorkloadError, gen_microbenchmark
 
 _BOOLS = {"on": True, "true": True, "1": True, "yes": True,
@@ -59,11 +61,13 @@ def parse_config_file(path):
             if key not in _KINDS:
                 raise ConfigError("%s:%d: unknown config key %r"
                                   % (path, lineno, key))
-            values[key] = _coerce(key, val, path, lineno)
+            values[key] = _coerce(key, val, "%s:%d: %s" % (path, lineno, key))
     return values
 
 
-def _coerce(key, val, path, lineno):
+def _coerce(key, val, where):
+    """The string `val` as a value of config key `key`. `where` names it in
+    errors: `path:line: key` in a config file, else the flag."""
     kind = _KINDS[key]
     if kind == "str":
         return val
@@ -71,12 +75,15 @@ def _coerce(key, val, path, lineno):
         try:
             return _BOOLS[val.lower()]
         except KeyError:
-            raise ConfigError("%s:%d: %s expects on/off" % (path, lineno, key))
+            raise ConfigError("%s expects on/off, got %r" % (where, val))
     try:
         return int(val)
     except ValueError:
-        raise ConfigError("%s:%d: %s expects an integer, got %r"
-                          % (path, lineno, key, val))
+        raise ConfigError("%s expects an integer, got %r" % (where, val))
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def build_parser():
@@ -86,14 +93,9 @@ def build_parser():
                     "criticality-aware link arbitration.")
     p.add_argument("--config", metavar="FILE",
                    help="key = value config file; flags override it")
-    p.add_argument("--topology", choices=TOPOLOGY_KINDS)
-    p.add_argument("--procs", type=int)
-    p.add_argument("--counters", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--noncrit-work", type=int, dest="noncrit_work")
-    p.add_argument("--bandwidth", type=int)
-    p.add_argument("--cam", choices=("on", "off"))
-    p.add_argument("--seed", type=int)
+    for key, kind in _KINDS.items():
+        p.add_argument(_flag(key), dest=key,
+                       metavar="on/off" if kind == "bool" else kind.upper())
     p.add_argument("--out", metavar="FILE",
                    help="destination of the CSV, or of the program under "
                         "--dump-program (default stdout)")
@@ -110,13 +112,10 @@ def build_parser():
 
 def make_config(args):
     values = parse_config_file(args.config) if args.config else {}
-    for key in ("topology", "procs", "counters", "iters", "noncrit_work",
-                "bandwidth", "seed"):
-        v = getattr(args, key)
-        if v is not None:
-            values[key] = v
-    if args.cam is not None:
-        values["cam"] = args.cam == "on"
+    for key in _KINDS:
+        val = getattr(args, key)
+        if val is not None:
+            values[key] = _coerce(key, val, _flag(key))
     return Config(**values)
 
 

@@ -59,23 +59,6 @@ GETS, GETX, PUTX, FWD_GETS, FWD_GETX, INV, DATA_DIR, DATA_OWNER, INV_ACK, \
 MSG_NAMES = ("GETS", "GETX", "PUTX", "Fwd_GETS", "Fwd_GETX", "INV",
              "Data_Dir", "Data_Owner", "InvAck", "WB_Ack", "Unblock")
 
-# Message classes. A class and a crit bit make a virtual network; the
-# model checker keys its in-flight channels by it.
-REQUEST, FORWARD, RESPONSE = 0, 1, 2
-
-CLASS_OF = {
-    GETS: REQUEST, GETX: REQUEST, PUTX: REQUEST,
-    FWD_GETS: FORWARD, FWD_GETX: FORWARD, INV: FORWARD,
-    DATA_DIR: RESPONSE, DATA_OWNER: RESPONSE, INV_ACK: RESPONSE,
-    WB_ACK: RESPONSE, UNBLOCK: RESPONSE,
-}
-
-
-def vnet_of(msg_class, crit):
-    """Map (class, crit) to a virtual network id: 0-2 normal, 3-5 critical."""
-    return msg_class + 3 if crit else msg_class
-
-
 # Message types whose payload includes the 64 B block.
 DATA_BEARING = frozenset((PUTX, DATA_DIR, DATA_OWNER))
 

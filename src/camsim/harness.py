@@ -87,8 +87,6 @@ class Config:
         return self.procs if self.threads is None else self.threads
 
     def validate(self):
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ConfigError("unknown topology %r" % self.topology)
         if self.procs < 2:
             raise ConfigError("procs must be >= 2, got %d" % self.procs)
         if not 1 <= self.n_threads() <= self.procs:
@@ -418,7 +416,12 @@ class Simulator:
     def run(self, trace=None):
         """Run to completion and return the RunStats. `trace`, an open text
         stream that the caller closes, gets one line per message sent or
-        received and per controller transition."""
+        received and per controller transition. An instance runs once."""
+        if self._seq:
+            # only a run schedules events; a second one would start from
+            # the first one's final state and report its counters
+            raise UsageError("this Simulator has already run; build a new "
+                             "one for another run")
         if trace is not None:
             self._trace_out = trace
             for ctl in self.caches + self.dirs:

@@ -3,22 +3,23 @@
 Two caches and one directory share a single block. The checker enumerates
 every interleaving of core operations (load, store, replacement) up to a
 bounded operation count, crossed with every message delivery order that
-keeps one FIFO channel per (source node, receiving agent, vnet); see
-`_route`. Messages on different channels reorder freely.
+keeps one FIFO channel per (source node, receiving agent, class, lane);
+see `_route`. The class tells requests from Unblock at the directory,
+and forwards and INV from replies at a cache; the lane is the crit bit.
+Messages on different channels reorder freely.
 
 Coverage limits. First, a channel is coarser than a source/destination
 pair. The directory and cache 0 are both node 0, so their messages to a
 cache share a channel, and one sender's messages to two destinations stay
 in order. Keying channels by (sending agent, source, destination,
-receiving agent, vnet) reaches 24,275 / 768 / 51,312 states / quiescent
-states / transitions at depth 6, against 22,903 / 768 / 47,470 here, and
-finds no violation (ROADMAP item 5).
+receiving agent, class, lane) reaches 24,275 / 768 / 51,312 states /
+quiescent states / transitions at depth 6, against 22,903 / 768 / 47,470
+here, and finds no violation (ROADMAP item 5).
 
 Second, `_System.step` always issues with `crit=False`, so only the
-non-critical vnets 0-2 ever carry messages. The checker covers reordering
-across message classes (request / forward / response), not the
-critical/non-critical reordering that CAM's priority arbiter introduces
-in the timed simulator.
+non-critical lane ever carries messages. The checker covers reordering
+across the two classes, not the critical/non-critical reordering that
+CAM's priority arbiter introduces in the timed simulator.
 
 At every quiescent state (no messages in flight, no open transactions)
 the single-writer/multiple-reader invariant must hold and the
@@ -89,22 +90,25 @@ import copy
 from dataclasses import dataclass
 
 from .coherence import (
-    CLASS_OF,
     CacheController,
+    DATA_DIR,
+    DATA_OWNER,
     DIR_BOUND,
     DIR_BUSY,
     DirectoryController,
+    INV_ACK,
     ProtocolError,
     READABLE,
     ST_I,
     ST_S,
+    UNBLOCK,
+    WB_ACK,
     WRITEBACK,
     _Block,
     _DirEntry,
     _Txn,
     block_value,
     check_swmr,
-    vnet_of,
 )
 from .memhier import CacheArray, CacheGeometry
 
@@ -113,6 +117,8 @@ _BLOCK = 0          # the single block under test, homed at node 0
 _N_CACHES = 2
 _DIR = _N_CACHES    # the directory's index among the parts of `encode()`
 _GEOM = CacheGeometry(64, 1, 64)    # one set, one way: evictions reachable
+# Replies and Unblock: the class flag of a channel key (see `_route`).
+_RESPONSES = frozenset((DATA_DIR, DATA_OWNER, INV_ACK, WB_ACK, UNBLOCK))
 
 
 class CheckFailure(AssertionError):
@@ -133,7 +139,7 @@ class _System:
         self.caches = [CacheController(n, _GEOM, _GEOM, _N_CACHES)
                        for n in range(_N_CACHES)]
         self.dir = DirectoryController(0, _N_CACHES)
-        self.channels = {}       # (src, agent, vnet) -> tuple of messages
+        self.channels = {}       # (src, agent, class, lane) -> messages
         self.codes = {}          # the same key -> their `_enc_msg` tuples
         self.ops_used = 0
         self.next_value = 1
@@ -325,12 +331,16 @@ def _enc_msg(m):
 def _route(msgs):
     """Each message as (channel key, message, `_enc_msg` code), in order.
 
-    The key is (src node, receiving agent, vnet); the agent is "d" for a
-    directory-bound message, else "c". Each message is encoded once, here,
-    so the channels' part of `encode()` is built from existing tuples.
+    The key is (src node, receiving agent, class, lane). The agent is "d"
+    for a directory-bound message, else "c". The class is whether the
+    message is in `_RESPONSES`: at "d" it splits requests from Unblock, at
+    "c" forwards and INV from replies. The lane is the crit bit, so a
+    critical message never shares a FIFO with a non-critical one. Each
+    message is encoded once, here, so the channels' part of `encode()` is
+    built from existing tuples.
     """
     return tuple([((m.src, "d" if m.mtype in DIR_BOUND else "c",
-                    vnet_of(CLASS_OF[m.mtype], m.crit)), m, _enc_msg(m))
+                    m.mtype in _RESPONSES, m.crit), m, _enc_msg(m))
                   for m in msgs])
 
 

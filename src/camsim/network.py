@@ -1,28 +1,19 @@
 """Message transport over links with two arbitration lanes per link.
 
-The network sees two lanes, and a message's crit bit picks its lane. Its
-virtual network is its protocol class (request / forward / response)
-crossed with the crit bit (`coherence.vnet_of`: 0-2 non-critical, 3-5
-critical); vnets key the model checker's channels, and links arbitrate
-two lanes exactly as they would six vnet buffers (below).
-
 Links are store-and-forward at whole-message granularity: a link
 serializes one message at a time, for ceil(size_bytes * 10 / bandwidth)
 cycles, then the message propagates for `hop_latency` cycles and lands in
 the next link's input buffer (or at the destination endpoint). Routers
 add no queueing of their own: links are the only contention points.
 
-Each link's input buffer is two FIFOs in arrival order: the non-critical
-lane (vnets 0-2) and the critical lane (vnets 3-5). Every enqueue stamps
-the message with a rising arrival number. Within one vnet FIFO order is
-stamp order, so the oldest head across vnets 3-5 is the head of their
-merged FIFO, and likewise for vnets 0-2; the two lanes therefore
-arbitrate exactly as six per-vnet buffers would:
+Each link's input buffer is two FIFOs in arrival order, the non-critical
+lane and the critical lane; a message's crit bit picks its lane. Every
+enqueue stamps the message with a rising arrival number. When the link
+is free it serves one lane head:
 
-* cam disabled -- the older of the two lane heads (by stamp) wins,
-  regardless of vnet. This makes the crit bit performance-neutral in
-  baseline mode (splitting one class queue across vnets 0-2/3-5 cannot
-  reorder service).
+* cam disabled -- the older of the two heads (by stamp) wins, so the
+  link serves its messages in arrival order whatever their crit bits,
+  and the crit bit is performance-neutral.
 * cam enabled  -- the critical lane's head wins whenever that lane is
   non-empty; otherwise the non-critical head.
 

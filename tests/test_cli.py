@@ -1,5 +1,10 @@
 """Command-line interface: flags, config files, CSV output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from camsim.cli import main, parse_config_file
@@ -70,6 +75,37 @@ def test_bad_flags_reported(capsys):
     rc = main(["--topology", "hypercube", "--procs", "12"])
     assert rc == 2
     assert "camsim:" in capsys.readouterr().err
+
+
+def test_every_config_key_is_a_flag(tmp_path, capsys):
+    # lat_mem was once a config-file key only; flag and file read alike
+    args = ["--procs", "4", "--counters", "4", "--iters", "1",
+            "--noncrit-work", "2"]
+    rows = []
+    for extra in (["--lat-mem", "3"], ["--lat-mem", "300"]):
+        assert main(args + extra) == 0
+        rows.append(capsys.readouterr().out)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("lat_mem = 3\n")
+    assert main(args + ["--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == rows[0] != rows[1]
+
+
+@pytest.mark.parametrize("flag,value,expects", [
+    ("--cam", "maybe", "on/off"), ("--procs", "x", "an integer")],
+    ids=("cam", "procs"))
+def test_bad_flag_value_names_the_flag(flag, value, expects, capsys):
+    assert main([flag, value]) == 2
+    assert capsys.readouterr().err == "camsim: %s expects %s, got %r\n" % (
+        flag, expects, value)
+
+
+def test_bad_config_file_value_names_its_line(tmp_path):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("procs = 4\ncam = maybe\n")
+    with pytest.raises(ConfigError,
+                       match="bad.cfg:2: cam expects on/off, got 'maybe'"):
+        parse_config_file(str(cfgfile))
 
 
 def test_out_file(tmp_path):
@@ -207,3 +243,26 @@ def test_missing_config_file_reported(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         "camsim: cannot open %r: No such file" % str(cfgfile))
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    # `python -m camsim.cli` exits with what `main` returns: 0 for a good
+    # run, 1 for a failed one (a planted SWMR violation, run through the
+    # same `__main__` path), 2 for a usage error
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = ["--procs", "2", "--counters", "1", "--iters", "1",
+           "--noncrit-work", "1"]
+    planted = ("import runpy, camsim.harness as h; "
+               "h.check_swmr = lambda caches, addr: ['planted']; "
+               "runpy.run_module('camsim.cli', run_name='__main__')")
+    cases = [(["-m", "camsim.cli"] + run, 0, "config_id,", ""),
+             (["-c", planted] + run, 1, "", "camsim: SWMR violation"),
+             (["-m", "camsim.cli", "--procs", "x"], 2, "",
+              "camsim: --procs expects an integer")]
+    for argv, status, out, err in cases:
+        proc = subprocess.run([sys.executable] + argv, env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout.startswith(out) and bool(proc.stdout) == bool(out)
+        assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)

@@ -69,6 +69,17 @@ def test_run_is_deterministic():
     assert a == b
 
 
+def test_a_simulator_runs_once():
+    # a second run of one instance would start from the first one's end
+    # and report zero cycles with its counters
+    sim = Simulator(small_cfg())
+    first = sim.run()
+    assert first.total_cycles > 0
+    with pytest.raises(UsageError, match="already run"):
+        sim.run()
+    assert sim.cycle == first.total_cycles          # the refusal ran nothing
+
+
 def test_cam_flag_changes_arbitration_only():
     # without crit tagging CAM has no critical lane to favour, so the CAM
     # run must equal the baseline in everything but the flag itself

@@ -1,6 +1,7 @@
 """Import hygiene: every imported name is read, or re-exported in
-`__all__`, in the package, the tests and the benchmark; and importing
-the package loads no process-pool machinery."""
+`__all__`, in the package, the tests and the benchmark; every name in
+`camsim.__all__` resolves; and importing the package loads no
+process-pool machinery."""
 
 import ast
 import os
@@ -62,3 +63,12 @@ def test_import_loads_no_multiprocessing():
          "import sys, camsim; print('multiprocessing' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert probe.stdout == "False\n"
+
+
+def test_every_public_name_resolves():
+    # a name dropped from the imports but left in `__all__` breaks
+    # `from camsim import *`
+    import camsim
+    namespace = {}
+    exec("from camsim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(camsim.__all__)

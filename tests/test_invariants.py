@@ -65,7 +65,7 @@ def test_crit_request_count_monotone_in_counters():
 
 def test_baseline_ignores_crit_labelling_end_to_end():
     # same run with tagging on/off: identical cycle count and per-link
-    # busy profile; only the vnet occupancy (and thus contention stats)
+    # busy profile; only the lane occupancy (and thus contention stats)
     # may differ
     on = run_simulation(Config(**SMALL, cam=False, crit_tagging=True))
     off = run_simulation(Config(**SMALL, cam=False, crit_tagging=False))

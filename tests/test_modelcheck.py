@@ -24,6 +24,7 @@ from camsim.modelcheck import (
     _Steps,
     _System,
     _Visited,
+    _route,
     run_check,
 )
 from camsim.network import Message
@@ -110,6 +111,34 @@ def test_check_fails_when_an_om_owner_refuses_fwd_getx(monkeypatch):
                        match=r"protocol assertion after deliver .*"
                              r"Fwd_GETX but not owner"):
         run_check(max_ops=4)
+
+
+# -- channels ----------------------------------------------------------------
+
+def test_channels_split_requests_unblock_forwards_and_replies():
+    # one message of each type from one source; re-keying the channels
+    # must show here as a deliberate edit
+    def key(mtype, crit=False):
+        ((k, _, _),) = _route([Message(mtype, 1, 0, 0, crit, requester=1)])
+        return k
+
+    channels = {}
+    for mtype, name in enumerate(coherence.MSG_NAMES):
+        channels.setdefault(key(mtype), []).append(name)
+    assert sorted(channels.values()) == [
+        ["Data_Dir", "Data_Owner", "InvAck", "WB_Ack"],
+        ["Fwd_GETS", "Fwd_GETX", "INV"],
+        ["GETS", "GETX", "PUTX"],
+        ["Unblock"],
+    ]
+    # requests sort before Unblock and forwards before replies, which
+    # fixes the order in which deliveries are explored
+    assert key(coherence.GETS) < key(coherence.UNBLOCK)
+    assert key(coherence.INV) < key(coherence.DATA_DIR)
+    # the crit bit is a lane of its own: it splits every channel
+    crit_keys = {key(mtype, True)
+                 for mtype in range(len(coherence.MSG_NAMES))}
+    assert len(crit_keys) == 4 and not crit_keys & set(channels)
 
 
 # -- visited keys ------------------------------------------------------------

@@ -1,19 +1,11 @@
-"""Virtual networks, serialization arithmetic and link arbitration."""
+"""Lanes, serialization arithmetic and link arbitration."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from camsim.coherence import (
-    CLASS_OF,
-    DATA_DIR,
-    FORWARD,
-    GETS,
-    REQUEST,
-    RESPONSE,
-    vnet_of,
-)
+from camsim.coherence import DATA_DIR, GETS
 from camsim.network import Message, Network, serialization_cycles
 from camsim.topology import TOPOLOGY_KINDS, build_topology
 
@@ -22,22 +14,6 @@ def mk_msg(mtype=GETS, crit=False, size=8, src=0, dst=1, addr=0):
     m = Message(mtype, src, dst, addr, crit)
     m.size = size
     return m
-
-
-def test_vnet_table():
-    assert vnet_of(REQUEST, False) == 0
-    assert vnet_of(FORWARD, False) == 1
-    assert vnet_of(RESPONSE, False) == 2
-    assert vnet_of(REQUEST, True) == 3
-    assert vnet_of(FORWARD, True) == 4
-    assert vnet_of(RESPONSE, True) == 5
-
-
-@given(st.sampled_from([REQUEST, FORWARD, RESPONSE]), st.booleans())
-def test_vnet_partition(cls, crit):
-    v = vnet_of(cls, crit)
-    assert (v >= 3) == crit
-    assert v % 3 == cls
 
 
 def test_serialization_formula():
@@ -88,21 +64,19 @@ def drive(net, cyc=0, jump=True):
         cyc = net.wake if jump else cyc + 1
 
 
-def test_inject_routes_and_vnet():
+def test_inject_routes_and_picks_lane():
     topo, net = crossbar_net()
     m = mk_msg(src=0, dst=5)
     net.inject(m, 0)
     li = first_link(topo)
     assert m.route == tuple(topo.links[l] for l in topo.route(0, 5))
-    assert vnet_of(CLASS_OF[m.mtype], m.crit) == 0
     assert net.bufs[li][0][0] is m                 # non-critical lane
     mc = mk_msg(DATA_DIR, crit=True, size=72, src=0, dst=5)
-    vnet = vnet_of(CLASS_OF[mc.mtype], mc.crit)
-    assert vnet == vnet_of(RESPONSE, True) == 5
     with pytest.raises(AttributeError):
-        mc.vnet = 2                                # derived, never stored
+        mc.lane = 1                                # the crit bit, never stored
     net.inject(mc, 0)
     assert net.bufs[li][1][0] is mc                # critical lane
+    assert list(net.bufs[li][0]) == [m]            # lanes never mix
 
 
 def test_same_cycle_injections_keep_order():
@@ -127,7 +101,7 @@ def test_priority_selects_critical_when_cam_on():
     assert list(net.bufs[li][0]) == [a]
 
 
-def test_baseline_selects_oldest_regardless_of_vnet():
+def test_baseline_selects_oldest_regardless_of_lane():
     topo, net = crossbar_net(cam=False)
     a = mk_msg(src=0, dst=5)
     b = mk_msg(src=0, dst=6, crit=True)
@@ -257,25 +231,31 @@ def test_messages_on_disjoint_links_progress_together():
     assert set(id(x) for x in seen) == {id(a), id(b)}
 
 
-def test_conservation_and_fifo_per_vnet():
+def test_conservation_and_fifo_per_lane():
+    # per (src,dst) flows stay in injection order within a lane (same
+    # route, same lane); the baseline, serving the older head, keeps them
+    # in order across lanes too, while CAM lets critical messages overtake
     topo = build_topology("torus2d", 16)
-    net = Network(topo, 125)
-    rng = random.Random(7)
-    sent = []
-    for i in range(200):
-        src, dst = rng.sample(range(16), 2)
-        m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)))
-        net.inject(m, 0)
-        sent.append(m)
-    got = [m for ms in drive(net).values() for m in ms]
-    assert len(got) == len(sent)
-    # per (src,dst) flows stay in injection order (same route, same vnet)
-    rank = {id(m): i for i, m in enumerate(sent)}
-    order = {}
-    for m in got:
-        order.setdefault((m.src, m.dst), []).append(rank[id(m)])
-    for flow in order.values():
-        assert flow == sorted(flow)
+    for cam in (False, True):
+        net = Network(topo, 125, cam_enabled=cam)
+        rng = random.Random(7)
+        sent = []
+        for i in range(200):
+            src, dst = rng.sample(range(16), 2)
+            m = mk_msg(src=src, dst=dst, size=rng.choice((8, 72)),
+                       crit=rng.random() < 0.3)
+            net.inject(m, 0)
+            sent.append(m)
+        got = [m for ms in drive(net).values() for m in ms]
+        assert len(got) == len(sent)
+        rank = {id(m): i for i, m in enumerate(sent)}
+        lanes, flows = {}, {}
+        for m in got:
+            lanes.setdefault((m.src, m.dst, m.crit), []).append(rank[id(m)])
+            flows.setdefault((m.src, m.dst), []).append(rank[id(m)])
+        assert all(lane == sorted(lane) for lane in lanes.values())
+        in_order = all(flow == sorted(flow) for flow in flows.values())
+        assert in_order == (not cam)
 
 
 def test_utilization_bounded():
