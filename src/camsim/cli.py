@@ -5,6 +5,8 @@ speedup/sensitivity matrix (baseline+CAM pairs) and emits one row per run
 plus speedups on the CAM rows. Every Config field is both a flag
 (`noncrit_work` is `--noncrit-work`) and a key of the `key = value`
 config file; flags override the file, and both are read by one coercion.
+Under `--sweep`, a key that the sweep sets in every run, `cam` included,
+may be given neither way.
 This is the one module that opens files: the config file, `--out` and
 `--trace`.
 
@@ -111,9 +113,17 @@ def build_parser():
 
 
 def make_config(args):
+    """The Config of the flags over the config file. Under `--sweep`, a key
+    that the sweep sets in every run (its deltas' keys, and `cam`) is a
+    UsageError: the sweep would silently drop it."""
     values = parse_config_file(args.config) if args.config else {}
+    swept = {"cam"}.union(*SWEEP_PRESETS[args.sweep]()) if args.sweep else ()
     for key in _KINDS:
         val = getattr(args, key)
+        if key in swept and (val is not None or key in values):
+            raise UsageError("%s is set by the %s sweep" % (
+                _flag(key) if val is not None
+                else "%s: %s" % (args.config, key), args.sweep))
         if val is not None:
             values[key] = _coerce(key, val, _flag(key))
     return Config(**values)

@@ -112,7 +112,9 @@ def block_value(caches, memory, addr):
 
 # Transient states count as the stable state whose data-holding obligations
 # they retain: a block under writeback (MI/OI) still owns the only valid
-# copy, and SM still holds a readable copy until invalidated.
+# copy until the home takes its PUTX (after which the home may grant the
+# block afresh while the WB_Ack is on its way), and SM still holds a
+# readable copy until invalidated.
 _EFFECTIVE_STATE = {
     ST_I: ST_I, ST_S: ST_S, ST_E: ST_E, ST_O: ST_O, ST_M: ST_M,
     ST_IS: ST_I, ST_IM: ST_I, ST_SM: ST_S, ST_OM: ST_O,
@@ -120,16 +122,19 @@ _EFFECTIVE_STATE = {
 }
 
 
-def check_swmr(caches, addr):
+def check_swmr(caches, addr, owner):
     """Single-writer/multiple-reader check over one block.
 
     Reads each cache controller's block state for `addr`, writeback
-    states included, through `_EFFECTIVE_STATE`. Returns a list of
-    violation strings (empty when the invariant holds).
+    states included, through `_EFFECTIVE_STATE`; a block under writeback
+    counts only at `owner`, the node the home directory names the owner
+    (None for none). Returns a list of violation strings (empty when the
+    invariant holds).
     """
     # (node, effective state) of every valid copy
     holders = [(c.node, st) for c in caches if addr in c.blocks
-               and (st := _EFFECTIVE_STATE[c.blocks[addr].state]) != ST_I]
+               and (st := _EFFECTIVE_STATE[c.blocks[addr].state]) != ST_I
+               and (c.node == owner or c.blocks[addr].state not in WRITEBACK)]
     if len(holders) < 2:
         return []
     writers = [n for n, st in holders if st == ST_M or st == ST_E]

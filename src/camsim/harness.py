@@ -233,8 +233,10 @@ class Simulator:
         # node, each a round trip of lookups, directory and memory latency,
         # the paced INV fan-out and four traversals (request, forward,
         # data, unblock) that each queue on every link behind at most one
-        # data message per node, plus jitter. Never under 1M cycles.
-        ser = serialization_cycles(cfg.msg_bytes_data, cfg.bandwidth)
+        # message per node, sized as the larger of a data and a control
+        # message, plus jitter. Never under 1M cycles.
+        ser = serialization_cycles(max(cfg.msg_bytes_data,
+                                       cfg.msg_bytes_control), cfg.bandwidth)
         trip = (cfg.lat_l1 + 2 * cfg.lat_l2 + 2 * cfg.lat_dir + cfg.lat_mem
                 + cfg.procs * self.inv_pace + 4 * (
                     cfg.jitter + diameter * (cfg.procs * ser + cfg.hop_latency)))
@@ -369,12 +371,13 @@ class Simulator:
 
     def _process_dir(self, msg, from_queue=False):
         cfg = self.cfg
-        out, used_mem, replay = self.dirs[msg.dst].handle(msg, from_queue)
+        home = self.dirs[msg.dst]
+        out, used_mem, replay = home.handle(msg, from_queue)
         if out:
             self._send(out, self.cycle + cfg.lat_dir
                        + (cfg.lat_mem if used_mem else 0))
         if msg.mtype == UNBLOCK or msg.mtype == PUTX:
-            self._check_swmr(msg.addr)
+            self._check_swmr(msg.addr, home.entries[msg.addr].owner)
         if replay is not None:
             self._push(self.cycle + cfg.lat_dir, _R_MSG, _EV_DIR_POP, replay)
 
@@ -403,9 +406,9 @@ class Simulator:
                 "%r" % (node, addr, self.cycle, op))
         self._complete(node, result, self.cycle + 1)
 
-    def _check_swmr(self, addr):
+    def _check_swmr(self, addr, owner):
         self.swmr_checks += 1
-        problems = check_swmr(self.caches, addr)
+        problems = check_swmr(self.caches, addr, owner)
         if problems:
             raise SimulationError(
                 "SWMR violation at cycle %d addr %#x: %s"
@@ -519,12 +522,8 @@ class Simulator:
                                     self._stuck_cores(cycle)))
 
     def _stuck_cores(self, cycle):
-        parts = []
-        for tid, core in enumerate(self.cores):
-            if not core.done:
-                parts.append("T%d pc=%d phase=%r op=%r"
-                             % (tid, core.pc, core.lock_phase,
-                                self.core_op[tid]))
+        parts = ["T%d pc=%d op=%r" % (tid, core.pc, self.core_op[tid])
+                 for tid, core in enumerate(self.cores) if not core.done]
         return "cycle %d: %s" % (cycle, "; ".join(parts) or "none")
 
     def _report_stall(self, cycle):

@@ -288,7 +288,9 @@ class _System:
         return True
 
     def check_invariants(self):
-        problems = check_swmr(self.caches, _BLOCK)
+        entry = self.dir.entries.get(_BLOCK)
+        problems = check_swmr(self.caches, _BLOCK,
+                              entry.owner if entry else None)
         value = block_value(self.caches, self.dir.memory, _BLOCK)
         if value != self.last_store:
             problems.append("token %r != last completed store %r"

@@ -14,14 +14,15 @@ Instructions are computed on demand: a thread's program is a
 locked-section tuple, so a program takes O(threads + counters) memory
 however large iters x noncrit_work grows.
 
-Locking is test-and-test-and-set: spin with LOAD until the lock word
-reads 0, then attempt an atomic test-and-set (a GETX-backed
-read-modify-write); on failure go back to spinning.
+A core runs its thread's program as a coroutine, in which locking is a
+test-and-test-and-set loop: spin with LOAD until the lock word reads 0,
+then attempt an atomic test-and-set (a GETX-backed read-modify-write);
+on failure go back to spinning.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 # Instruction opcodes (instructions are tuples starting with one of these).
@@ -132,8 +133,10 @@ class ThreadProgram:
 class CoreState:
     """In-order core: one outstanding memory request, per-core crit flag.
 
-    `program` is any iterable of instructions, read once and in order;
-    `ins` is the instruction at `pc`, None past the end.
+    The core runs its program as a coroutine, `_execute`: each `step`
+    resumes it with the response to the request it last issued and runs
+    it to the next action. `program` is any iterable of instructions,
+    read once and in order; `pc` counts the retired ones.
     """
 
     tid: int
@@ -141,15 +144,10 @@ class CoreState:
     pc: int = field(default=0, init=False)
     crit: bool = False
     last_load: int = 0
-    lock_phase: str = ""              # "" | "spin" | "rmw" | "unlock"
-    outstanding: bool = False
     done: bool = False
-    ins: tuple | None = field(init=False, repr=False, compare=False)
-    _rest: Iterator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._rest = iter(self.program)
-        self.ins = next(self._rest, None)
+        self._run = self._execute()
 
     def step(self, response=None):
         """Retire the blocked op (if any) and run to the next boundary.
@@ -161,58 +159,43 @@ class CoreState:
           ("local", cycles)              -- local work, no memory traffic.
           ("done",)                      -- program finished.
         """
-        if self.outstanding:
-            self.outstanding = False
-            phase = self.lock_phase
-            if phase == "spin":
-                # test-and-test-and-set: observed 0, try to take it
-                self.lock_phase = "rmw"
-                self.outstanding = True
-                return ("mem", "rmw", self.ins[1], None, False)
-            if phase == "rmw" and response != 0:
-                # test-and-set lost the race: go back to spinning
-                self.lock_phase = "spin"
-                self.outstanding = True
-                return ("mem", "spin", self.ins[1], None, False)
-            if not phase and self.ins[0] == LOAD:
-                self.last_load = response
-            self.lock_phase = ""
-            self.pc += 1
-            self.ins = next(self._rest, None)
+        return self._run.send(response)
 
+    def _execute(self):
+        """The program as a generator of `step`'s actions."""
         local = 0
-        while True:
-            ins = self.ins
-            if ins is None:
-                self.done = True
-                return ("done",) if local == 0 else ("local", local)
+        for ins in self.program:
             op = ins[0]
             if op == CRIT_ENTER or op == CRIT_EXIT:
                 apply_crit_marker(self, op)
                 self.pc += 1
-                self.ins = next(self._rest, None)
                 local += 1
-            elif local:
+                continue
+            if local:
                 # charge marker cycles before issuing the next memory op
-                return ("local", local)
-            elif op == LOAD:
-                self.outstanding = True
-                return ("mem", "load", ins[1], None, self.crit)
+                yield ("local", local)
+                local = 0
+            if op == LOAD:
+                self.last_load = yield ("mem", "load", ins[1], None, self.crit)
             elif op == STORE:
                 v = ins[2]
-                value = self.last_load + 1 if v == INC else v
-                self.outstanding = True
-                return ("mem", "store", ins[1], value, self.crit)
+                yield ("mem", "store", ins[1],
+                       self.last_load + 1 if v == INC else v, self.crit)
             elif op == LOCK:
-                self.lock_phase = "spin"
-                self.outstanding = True
-                return ("mem", "spin", ins[1], None, False)
+                # test-and-test-and-set: spin until the word reads 0, then
+                # take it; a lost test-and-set goes back to spinning
+                yield ("mem", "spin", ins[1], None, False)
+                while (yield ("mem", "rmw", ins[1], None, False)) != 0:
+                    yield ("mem", "spin", ins[1], None, False)
             elif op == UNLOCK:
-                self.lock_phase = "unlock"
-                self.outstanding = True
-                return ("mem", "store", ins[1], 0, False)
+                yield ("mem", "store", ins[1], 0, False)
             else:
                 raise WorkloadError("T%d: unknown opcode %r" % (self.tid, op))
+            self.pc += 1
+        self.done = True
+        if local:
+            yield ("local", local)
+        yield ("done",)
 
 
 def apply_crit_marker(core, marker):

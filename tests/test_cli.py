@@ -128,6 +128,30 @@ def test_sweep_with_trace_reported(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("args,named", [
+    (["--seed", "3"], "--seed"),
+    (["--cam", "on"], "--cam"),
+    (["--topology", "hypercube", "--procs", "6"], "--topology"),
+])
+def test_sweep_refuses_flags_it_sets(args, named, capsys, monkeypatch):
+    # every run of the paper sweep sets these keys itself: the flag would
+    # be dropped, so it is refused before any run
+    monkeypatch.setattr("camsim.cli.run_sweep", no_run)
+    assert main(args + ["--sweep", "paper"]) == 2
+    assert capsys.readouterr().err == (
+        "camsim: %s is set by the paper sweep\n" % named)
+
+
+def test_sweep_refuses_config_file_keys_it_sets(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr("camsim.cli.run_sweep", no_run)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("jitter = 2\nbandwidth = 40\n")
+    assert main(["--config", str(cfgfile), "--sweep", "paper"]) == 2
+    assert capsys.readouterr().err == (
+        "camsim: %s: bandwidth is set by the paper sweep\n" % cfgfile)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_reported(jobs, capsys, monkeypatch):
     monkeypatch.setattr("camsim.cli.run_sweep", no_run)
@@ -147,7 +171,7 @@ def test_failed_traced_run_leaves_its_partial_trace(tmp_path, monkeypatch,
                           str(tmp_path / "run.csv")]) == 0
     # the first SWMR check, when a transaction closes, finds a violation
     monkeypatch.setattr("camsim.harness.check_swmr",
-                        lambda caches, addr: ["planted"])
+                        lambda caches, addr, owner: ["planted"])
     assert main(TRACED + ["--trace", str(partial)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("camsim: SWMR violation at cycle ")
@@ -172,7 +196,7 @@ def test_failed_sweep_runs_are_named_on_stderr(monkeypatch, capsys):
     assert asked == [2] and healthy.err == ""
     # every 4-processor run fails its first SWMR check
     monkeypatch.setattr("camsim.harness.check_swmr",
-                        lambda caches, addr: ["planted"] * (len(caches) == 4))
+                        lambda caches, addr, owner: ["planted"] * (len(caches) == 4))
     assert main(args) == 1
     out, err = capsys.readouterr()
     rows = out.splitlines()
@@ -254,7 +278,7 @@ def test_module_entry_point_exit_status(tmp_path):
     run = ["--procs", "2", "--counters", "1", "--iters", "1",
            "--noncrit-work", "1"]
     planted = ("import runpy, camsim.harness as h; "
-               "h.check_swmr = lambda caches, addr: ['planted']; "
+               "h.check_swmr = lambda caches, addr, owner: ['planted']; "
                "runpy.run_module('camsim.cli', run_name='__main__')")
     cases = [(["-m", "camsim.cli"] + run, 0, "config_id,", ""),
              (["-c", planted] + run, 1, "", "camsim: SWMR violation"),

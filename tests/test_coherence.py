@@ -594,16 +594,20 @@ def caches_in(*states):
 
 
 def test_swmr_checker():
-    assert check_swmr(caches_in(ST_M, ST_I, ST_I), A) == []
-    assert check_swmr(caches_in(ST_M, ST_S, ST_I), A) != []
-    assert check_swmr(caches_in(ST_O, ST_S, ST_S), A) == []
-    assert check_swmr(caches_in(ST_O, ST_O), A) != []
-    assert check_swmr(caches_in(ST_E, ST_E), A) != []
+    assert check_swmr(caches_in(ST_M, ST_I, ST_I), A, 0) == []
+    assert check_swmr(caches_in(ST_M, ST_S, ST_I), A, 0) != []
+    assert check_swmr(caches_in(ST_O, ST_S, ST_S), A, 0) == []
+    assert check_swmr(caches_in(ST_O, ST_O), A, 0) != []
+    assert check_swmr(caches_in(ST_E, ST_E), A, None) != []
     # transient states count as stable: a block under writeback in MI still
-    # holds the only valid copy
-    assert check_swmr(caches_in(ST_MI, ST_S), A) != []
-    assert check_swmr(caches_in(ST_SM, ST_S), A) == []   # SM is still a reader
-    assert check_swmr(caches_in(ST_IM, ST_S), A) == []   # IM holds no data yet
+    # holds the only valid copy while the directory names it the owner
+    assert check_swmr(caches_in(ST_MI, ST_S), A, 0) != []
+    assert check_swmr(caches_in(ST_SM, ST_S), A, None) == []   # still a reader
+    assert check_swmr(caches_in(ST_IM, ST_S), A, None) == []   # no data yet
+    # once the home takes the PUTX it names no owner and may grant the
+    # block afresh while the WB_Ack is still on its way
+    assert check_swmr(caches_in(ST_MI, ST_M), A, None) == []
+    assert check_swmr(caches_in(ST_MI, ST_M), A, 0) != []
 
 
 def test_crit_propagates_through_directory():

@@ -162,10 +162,14 @@ def test_watchdog_fires_at_every_boundary_crossed():
            noncrit_work=2, lat_dir=200_000),
     Config(topology="torus2d", procs=4, counters=2, iters=2,
            noncrit_work=2, hop_latency=400_000),
-], ids=("lat_mem", "lat_dir", "hop_latency"))
+    Config(topology="crossbar", procs=4, counters=2, iters=1,
+           noncrit_work=2, bandwidth=1, msg_bytes_control=12000,
+           msg_bytes_data=8, lat_mem=10),
+], ids=("lat_mem", "lat_dir", "hop_latency", "msg_bytes_control"))
 def test_long_latencies_are_not_taken_for_a_livelock(cfg):
     # each run has a stretch of over 1M cycles in which no core advances
-    # its program: one miss, a long critical section, or long hops
+    # its program: one miss, a long critical section, long hops, or
+    # control messages queued on a slow link
     st = run_simulation(cfg)
     assert st.final_counters == [cfg.n_threads() * cfg.iters] * cfg.counters
 
@@ -277,8 +281,22 @@ def test_swmr_violation_raises():
     for cache in sim.caches[:2]:
         cache.blocks[0x40] = _Block(ST_M)
     with pytest.raises(SimulationError, match="SWMR violation .*0x40"):
-        sim._check_swmr(0x40)
+        sim._check_swmr(0x40, None)
     assert sim.swmr_checks == 1
+
+
+def test_writeback_the_home_has_taken_is_no_copy():
+    # Node 3 writes block 0x80 back from OI. Its home, node 1, takes the
+    # PUTX and grants the block to its own cache in M while the WB_Ack to
+    # node 3 is still queued behind data messages: at node 1's UNBLOCK the
+    # OI block is no copy, as the directory names node 1 the owner
+    cfg = Config(topology="torus2d", procs=8, threads=4, counters=1,
+                 iters=2, noncrit_work=2, bandwidth=10, cam=True,
+                 hop_latency=0, block_bytes=128, l1_kb=4, l1_assoc=2,
+                 l2_kb=2, l2_assoc=1, lat_l1=23, lat_l2=27, lat_mem=16,
+                 lat_dir=35, crit_tagging=False)
+    st = run_simulation(cfg)
+    assert st.final_counters == [cfg.n_threads() * cfg.iters]
 
 
 @pytest.mark.parametrize("held", [None, ("load", 0x80, None, False)])

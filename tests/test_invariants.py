@@ -75,27 +75,41 @@ def test_baseline_ignores_crit_labelling_end_to_end():
 
 
 def test_lock_mutual_exclusion_holds():
+    # audits each core's actions and the responses they get: a core
+    # acquires when its rmw on the lock word returns 0, and releases when
+    # its store of 0 to that word retires
     class LockAudit(Simulator):
         def __init__(self, cfg):
             super().__init__(cfg)
             self.holder = None
-            self.max_holders = 0
+            self.acquisitions = 0
+            for core in self.cores:
+                core.step = self.audited(core.tid, core.step)
 
-        def _step_core(self, tid, response):
-            core = self.cores[tid]
-            was = core.lock_phase
-            super()._step_core(tid, response)
-            if was == "rmw" and core.lock_phase == "" and response == 0:
-                assert self.holder is None, \
-                    "second acquisition while %s holds" % self.holder
-                self.holder = tid
-            if was == "unlock" and core.lock_phase == "":
-                assert self.holder == tid
-                self.holder = None
+        def audited(self, tid, step):
+            asked = ("start",)           # the action the response answers
 
-    sim = LockAudit(Config(**SMALL))
+            def audited_step(response=None):
+                nonlocal asked
+                if asked[0] == "mem" and asked[2] == self.program.lock_addr:
+                    if asked[1] == "rmw" and response == 0:
+                        assert self.holder is None, \
+                            "second acquisition while %s holds" % self.holder
+                        self.holder = tid
+                        self.acquisitions += 1
+                    elif asked[1] == "store" and asked[3] == 0:
+                        assert self.holder == tid
+                        self.holder = None
+                asked = step(response)
+                return asked
+            return audited_step
+
+    cfg = Config(**SMALL)
+    sim = LockAudit(cfg)
     st = sim.run()
     assert all(v == 8 for v in st.final_counters)
+    assert sim.acquisitions == cfg.n_threads() * cfg.iters
+    assert sim.holder is None
 
 
 def test_inclusion_audit_after_run():

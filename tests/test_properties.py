@@ -6,6 +6,7 @@ from camsim.harness import Config, run_simulation
 from camsim.topology import ConfigError, TOPOLOGY_KINDS
 
 latency = st.integers(0, 40)
+msg_bytes = st.integers(1, 400)
 
 
 @st.composite
@@ -18,8 +19,11 @@ def configs(draw):
         counters=draw(st.integers(1, 5)),
         iters=draw(st.integers(1, 2)),
         noncrit_work=draw(st.integers(0, 4)),
-        bandwidth=draw(st.sampled_from((40, 125, 250, 1000))),
+        bandwidth=draw(st.sampled_from((1, 3, 10, 20, 40, 125, 250, 1000))),
         cam=draw(st.booleans()),
+        crit_tagging=draw(st.booleans()),
+        msg_bytes_control=draw(msg_bytes),
+        msg_bytes_data=draw(msg_bytes),
         block_bytes=draw(st.sampled_from((32, 64, 128))),
         l1_kb=draw(st.sampled_from((1, 2, 4))),
         l1_assoc=draw(st.sampled_from((1, 2, 4))),

@@ -227,3 +227,15 @@ def test_store_value_is_increment_of_last_load():
     assert action[:3] == ("mem", "load", 0x100)
     action = core.step(41)
     assert action[:4] == ("mem", "store", 0x100, 42)
+
+
+def test_program_ending_in_crit_markers():
+    # trailing markers are charged as one local step, with the program
+    # already done, before the core reports it finished
+    core = CoreState(0, [(LOAD, 0x40), (CRIT_ENTER,), (CRIT_EXIT,)])
+    assert core.step() == ("mem", "load", 0x40, None, False)
+    assert not core.done
+    assert core.step(7) == ("local", 2)
+    assert core.done and core.pc == 3 and core.last_load == 7
+    assert core.step() == ("done",)
+    assert core.done and core.pc == 3
